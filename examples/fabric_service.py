@@ -6,9 +6,10 @@ process *listens* on a Unix socket and coordinates the Figure 10
 gate-level campaign as leased shards; any number of worker processes
 *attach* to that socket, lease shards, stream progress, and complete
 them.  All durable state (coordinator journal, per-lease shard
-journals, ``merged_report.json``) is identical to the forking fabric of
-``examples/injection_campaign.py --shards N`` — byte-identical merged
-reports, and either deployment can resume the other's fabric dir.
+journals, ``merged_report.json``) is identical to the local fabric of
+``examples/injection_campaign.py --shards N``, which runs the same
+coordinator with forked holders — byte-identical merged reports, and
+either deployment can resume the other's fabric dir.
 
 Coordinator::
 

@@ -22,11 +22,12 @@ uninterrupted run), and crash-looping units are quarantined after
 the first bad line.
 
 ``--shards N`` runs the campaign on the distributed fabric instead of a
-single engine: the units are split across ``N`` leased shard processes
-under ``<journal>.fabric``, each with its own supervised engine and
-tamper-evident journal.  A shard that dies or stops heartbeating for
-``--lease-ttl`` seconds has its lease re-granted to a fresh holder under
-a new fencing token (work stealing; disable with ``--steal no``), a
+single engine: the units are split across ``N`` leased shards under
+``<journal>.fabric``, one coordinator forks a holder process per shard,
+and each shard runs its own supervised engine and tamper-evident
+journal.  A dead holder is replaced, and a shard whose holder stops
+heartbeating for ``--lease-ttl`` seconds has its lease re-granted under
+a new fencing token (work stealing; disable with ``--steal no``).  A
 killed coordinator resumes from its own journal, and the per-shard
 journals merge deterministically into ``merged_report.json``.
 
@@ -90,8 +91,9 @@ def parse_args():
                              "no quarantine, no resource budgets")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
                         help="run on the distributed fabric: split the "
-                             "units across N leased shard processes "
-                             "(requires --journal for the fabric dir)")
+                             "units across N leased shards, one forked "
+                             "holder each (requires --journal for the "
+                             "fabric dir)")
     parser.add_argument("--lease-ttl", type=float, default=30.0,
                         metavar="S",
                         help="expire a shard lease whose heartbeat stalls "

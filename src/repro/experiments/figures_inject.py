@@ -64,10 +64,11 @@ def run_injection_study(sample_count: int = 1000,
     resource budgets are enforced, and journal corruption is detected
     by per-record CRC (and survived, with ``salvage=True``).
     ``shards=N`` runs the campaign on the distributed fabric
-    (:mod:`repro.inject.fabric`): leased shard processes under
-    ``fabric_dir``, heartbeat-TTL work stealing (``steal``,
-    ``lease_ttl_s``), crash-tolerant coordination, and a deterministic
-    merge of the per-shard journals.  ``bundle_dir`` exports a
+    (:mod:`repro.inject.fabric`): leased shards under ``fabric_dir`` run
+    by forked holders of one coordinator, heartbeat-TTL work stealing
+    (``steal``, ``lease_ttl_s``), crash-tolerant coordination, and a
+    deterministic merge of the per-shard journals; it cannot be
+    combined with ``trace``.  ``bundle_dir`` exports a
     deterministic repro bundle (:mod:`repro.bundle`) for every terminal
     failure.
     """

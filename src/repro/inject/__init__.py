@@ -28,9 +28,8 @@ from repro.inject.lease import Lease, LeaseTable, rebase_journal
 from repro.inject.merge import (MergedCampaign, ShardSource,
                                 merge_fabric_dir, merge_shard_journals,
                                 write_merged_report)
-from repro.inject.supervisor import (CampaignSupervisor, LeaseHeartbeat,
-                                     ResourceBudget, SupervisorConfig,
-                                     read_heartbeat)
+from repro.inject.supervisor import (CampaignSupervisor, ResourceBudget,
+                                     SupervisorConfig)
 
 __all__ = [
     "UNIT_ORDER", "build_unit", "run_full_campaign", "run_unit_campaign",
@@ -53,6 +52,5 @@ __all__ = [
     "Lease", "LeaseTable", "rebase_journal",
     "MergedCampaign", "ShardSource", "merge_fabric_dir",
     "merge_shard_journals", "write_merged_report",
-    "CampaignSupervisor", "LeaseHeartbeat", "ResourceBudget",
-    "SupervisorConfig", "read_heartbeat",
+    "CampaignSupervisor", "ResourceBudget", "SupervisorConfig",
 ]

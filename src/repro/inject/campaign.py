@@ -86,8 +86,7 @@ def run_full_campaign(sample_count: int = 1000,
                       lease_ttl_s: float = 30.0,
                       steal: bool = True,
                       fabric_config=None,
-                      bundle_dir: Optional[str] = None,
-                      service: bool = False
+                      bundle_dir: Optional[str] = None
                       ) -> Dict[str, CampaignResult]:
     """Campaigns for every Figure 10 unit, keyed by unit name.
 
@@ -127,31 +126,26 @@ def run_full_campaign(sample_count: int = 1000,
 
     ``shards=N`` opts the campaign into the distributed fabric
     (:mod:`repro.inject.fabric`): the units are partitioned across ``N``
-    leased shard processes under ``fabric_dir`` (defaults to
-    ``<journal_path>.fabric`` when a journal path is given), each with
-    its own supervised engine and tamper-evident journal; dead shards
-    are re-leased under fresh fencing tokens (``steal``), a crashed
-    coordinator resumes from its own journal, and the per-shard
-    journals merge deterministically.  ``lease_ttl_s`` bounds how long
-    a shard may go without a heartbeat before its lease is stolen.
-    Pass a full :class:`~repro.inject.fabric.FabricConfig` as
-    ``fabric_config`` for fleet-level knobs (replicated mode, global
-    Wilson early-stop); ``supervisor`` is ignored in fabric mode —
-    every shard runs under its own supervisor.
+    leased shards under ``fabric_dir`` (defaults to
+    ``<journal_path>.fabric`` when a journal path is given), run by
+    forked holder processes attached to one coordinator, each shard
+    with its own supervised engine and tamper-evident journal.  Dead
+    holders are replaced and their shards re-leased under fresh fencing
+    tokens (``steal``), a crashed coordinator resumes from its own
+    journal, and the per-shard journals merge deterministically.
+    ``lease_ttl_s`` bounds how long a shard may go without a heartbeat
+    before its lease is stolen.  Pass a full
+    :class:`~repro.inject.fabric.FabricConfig` as ``fabric_config`` for
+    fleet-level knobs (replicated mode, global Wilson early-stop);
+    ``supervisor`` is ignored in fabric mode — every holder runs under
+    its own supervisor.  Shards ship their units to holders as
+    messages, so ``trace`` cannot be combined with ``shards``: it
+    raises :class:`~repro.errors.FabricConfigError`.
 
     ``bundle_dir`` names a directory where every terminal failure —
     crashed/hung/quarantined units, lease-grant refusals, merge
     conflicts — exports a deterministic repro bundle
     (:mod:`repro.bundle`) alongside the campaign journal.
-
-    ``service=True`` (with ``shards``/``fabric_config``) runs the
-    sharded campaign through the network-attached coordinator
-    (:mod:`repro.inject.coordinator`) instead of the forking fabric:
-    shard workers attach over an in-process message transport, lease
-    shards under the same fencing tokens, and the merged report is
-    byte-identical to the forking deployment.  Requires
-    ``trace=None`` — service-mode work units ship over the transport
-    and must be context-free.
     """
     import dataclasses
 
@@ -188,13 +182,8 @@ def run_full_campaign(sample_count: int = 1000,
             fabric_config = FabricConfig(
                 shards=shards, lease_ttl_s=lease_ttl_s, steal=steal,
                 engine=engine_config, bundle_dir=bundle_dir)
-        if service:
-            from repro.inject.coordinator import run_service_campaign
-            fabric_report = run_service_campaign(work, fabric_dir,
-                                                 fabric_config)
-        else:
-            fabric_report = run_fabric_campaign(work, fabric_dir,
-                                                fabric_config)
+        fabric_report = run_fabric_campaign(work, fabric_dir,
+                                            fabric_config)
         merged = merged_gate_results(fabric_report.report)
         return {name: merged[name] for name in units if name in merged}
     supervisor = coerce_supervisor(supervisor)

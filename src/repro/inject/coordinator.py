@@ -1,15 +1,16 @@
-"""Network-attached campaign coordinator (jobs, grants, chaos-safe protocol).
+"""The campaign coordinator (jobs, grants, chaos-safe protocol).
 
-The forking :class:`~repro.inject.fabric.CampaignFabric` owns its shard
-holders: it spawns them, reads their heartbeat files, and reaps their
-exit codes.  :class:`CoordinatorService` decouples the two halves — the
-coordinator listens on a :mod:`repro.inject.transport` endpoint and any
-number of :class:`~repro.inject.worker.ShardWorker` processes *attach*
-over message-framed connections, lease shards, stream progress, and
-complete them.  Everything durable stays identical to the local fabric
-(same ``coordinator.jsonl``, same per-lease shard journals, same
-salvage-aware deterministic merge), which is what makes the merged
-report byte-identical between the two deployments.
+:class:`CoordinatorService` is the fabric's one coordinator.  It
+listens on a :mod:`repro.inject.transport` endpoint, and
+:class:`~repro.inject.worker.ShardWorker` holders *attach* over
+message-framed connections, lease shards, stream progress, and complete
+them.  The coordinator owns everything durable: ``coordinator.jsonl``
+(plan, lease transitions, global stop), the per-lease shard journals it
+rebases on every grant, and the salvage-aware deterministic merge.  The
+local deployment (:class:`~repro.inject.fabric.CampaignFabric`) plugs in
+a listener that forks its holders; the socket deployment
+(``examples/fabric_service.py``) lets them attach from other processes.
+Both produce the same ``fabric_dir`` and the same merged bytes.
 
 **The protocol is idempotent under at-least-once delivery.**  The
 transport may drop, duplicate, reorder, or delay any frame (that is
@@ -46,28 +47,35 @@ authority on counts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import queue
 import time
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import (FabricConfigError, FabricError, ProtocolError,
-                          StaleFencingToken, LeaseExpired, TransportClosed,
-                          FrameError)
-from repro.inject.engine import WorkUnit
-from repro.inject.fabric import (CampaignFabric, FabricConfig, FabricReport,
-                                 _GlobalEstimator, build_plan,
-                                 capture_lease_failure, finalize_fabric_merge,
-                                 lease_header, lease_journal_path,
-                                 record_or_check_plan,
-                                 replay_coordinator_state)
-from repro.inject.journal import (Journal, JournalCursor, atomic_write_text)
+from repro.errors import (FabricConfigError, FabricError, MergeConflict,
+                          ProtocolError, StaleFencingToken, LeaseExpired,
+                          TransportClosed, FrameError)
+from repro.inject.engine import WilsonEstimate, WorkUnit, wilson_interval
+from repro.inject.fabric import (COORDINATOR_JOURNAL, MERGED_REPORT,
+                                 FabricConfig, FabricReport, build_plan,
+                                 lease_header, lease_journal_path)
+from repro.inject.journal import Journal, JournalCursor, _scan_journal
 from repro.inject.lease import COMPLETED, LeaseTable, rebase_journal
-from repro.inject.merge import fabric_journal_paths
+from repro.inject.merge import (fabric_journal_paths, merge_shard_journals,
+                                write_merged_report)
 
 #: how many frames one attachment may deliver per poll tick (fairness cap)
 _PUMP_BUDGET = 64
+
+#: expiry reasons that are *not* steals: re-granting after these is
+#: plain resume and stays legal even with steal=False
+_BENIGN_EXPIRY = ("coordinator restart", "paused", "drained (paused)")
+
+#: coordinator-journal records that replay into the lease table
+_LEASE_RECORDS = ("lease_granted", "lease_expired", "lease_paused",
+                  "lease_completed")
 
 
 def wire_unit(unit: WorkUnit) -> Dict[str, Any]:
@@ -94,6 +102,40 @@ def batch_fingerprint(record: Dict[str, Any]) -> str:
          "successes": record.get("successes"),
          "counts": record.get("counts")},
         sort_keys=True, separators=(",", ":"))
+
+
+class _GlobalEstimator:
+    """Online fleet-wide Wilson estimator fed by journal cursors."""
+
+    def __init__(self, half_width: Optional[float], min_trials: int,
+                 z: float):
+        self.half_width = half_width
+        self.min_trials = min_trials
+        self.z = z
+        self.trials = 0
+        self.successes = 0
+        self._seen: Set[tuple] = set()
+
+    def absorb(self, record: Dict[str, Any]) -> None:
+        """Tick on one journal record (batches only; idempotent)."""
+        if record.get("type") != "batch":
+            return
+        key = (record.get("unit"), record.get("index"))
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        self.trials += record.get("trials", 0)
+        self.successes += record.get("successes", 0)
+
+    @property
+    def estimate(self) -> WilsonEstimate:
+        return wilson_interval(self.successes, self.trials, self.z)
+
+    @property
+    def tight(self) -> bool:
+        if self.half_width is None or self.trials < self.min_trials:
+            return False
+        return self.estimate.half_width <= self.half_width
 
 
 class _Attachment:
@@ -155,14 +197,13 @@ class JobHandle:
 
 
 class CoordinatorService:
-    """Job-oriented coordinator for workers attaching over a transport.
+    """Job-oriented coordinator for holders attaching over a transport.
 
-    Single-threaded poll loop, same cadence and exit conditions as
-    :meth:`CampaignFabric._loop`; the only concurrency is the transport
-    itself (worker pump threads on the other end of each connection).
-    Durable layout under ``fabric_dir`` is identical to the local
-    fabric, so resuming a service job with ``CampaignFabric`` — or the
-    other way around — is supported by construction.
+    Single-threaded poll loop; the only concurrency is the transport
+    itself (holder pump threads on the other end of each connection).
+    All durable state lives under ``fabric_dir``, whichever listener
+    the holders arrive through, so either deployment resumes the
+    other's directory.
     """
 
     def __init__(self, fabric_dir: str,
@@ -200,17 +241,12 @@ class CoordinatorService:
             if unit.context is not None:
                 raise FabricConfigError(
                     f"work unit {unit.unit_id!r} carries a non-wire "
-                    f"context; service mode ships units over the "
-                    f"transport, so units must be context-free "
-                    f"(context=None)")
+                    f"context; sharded campaigns ship units to their "
+                    f"holders over the transport, so units must be "
+                    f"context-free (context=None)")
         self.plan = build_plan(units, self.config)
         self._job = JobHandle(self)
         return self._job
-
-    def run_job(self, units: Sequence[WorkUnit]) -> FabricReport:
-        """Submit + serve in one call (the CLI entry point)."""
-        self.submit(units)
-        return self.serve()
 
     def request_drain(self, reason: str = "drain requested") -> None:
         """Ask the serve loop to drain the fleet (thread-safe)."""
@@ -243,29 +279,17 @@ class CoordinatorService:
             raise FabricConfigError(
                 "no job submitted; call submit(units) before serve()")
         os.makedirs(self.fabric_dir, exist_ok=True)
-        self._journal = Journal(self._path(CampaignFabric.COORDINATOR_JOURNAL),
+        self._journal = Journal(self._path(COORDINATOR_JOURNAL),
                                 salvage=True,
                                 header={"role": "fabric-coordinator"})
         try:
-            replay = replay_coordinator_state(
-                self._path(CampaignFabric.COORDINATOR_JOURNAL), self.table)
-            record_or_check_plan(self._journal, replay["planned"],
-                                 self.plan, self.config.mode,
-                                 self.fabric_dir)
-            if replay["global_stop"] is not None:
-                self._stopped_globally = True
-                self._set_drain(replay["global_stop"].get(
-                    "reason", "global early-stop"))
+            self._replay()
             for path in fabric_journal_paths(self.fabric_dir):
                 self._watch(path)
             self._emit("job_started", shards=sorted(self.plan),
                        mode=self.config.mode)
             self._loop()
-            report = finalize_fabric_merge(
-                self.fabric_dir, z=self.config.z,
-                stopped_globally=self._stopped_globally, table=self.table,
-                plan=self.plan, paused_shards=self._paused_shards,
-                journal=self._journal, bundle_dir=self.config.bundle_dir)
+            report = self._merge()
             self._result = report
             self._emit("job_done", paused=report.paused,
                        stopped_globally=report.stopped_globally,
@@ -279,6 +303,129 @@ class CoordinatorService:
             self._farewell()
             self._journal.close()
             self._journal = None
+
+    def _replay(self) -> None:
+        """Rebuild lease/fencing/plan state from ``coordinator.jsonl``.
+
+        Every lease transition goes through ``table.apply_record``
+        (leases in flight come back expired, reason ``coordinator
+        restart``).  A fresh plan is journaled; a resume against a
+        changed plan is refused; a recorded global stop re-arms the
+        drain.
+        """
+        replayed: Dict[str, Dict[str, Any]] = {}
+
+        def absorb(record: Dict[str, Any]) -> None:
+            kind = record.get("type")
+            if kind in _LEASE_RECORDS:
+                self.table.apply_record(record)
+            elif kind in ("fabric_planned", "global_stop"):
+                replayed.setdefault(kind, record)
+
+        _scan_journal(self._path(COORDINATOR_JOURNAL), salvage=True,
+                      absorb=absorb)
+        current = {shard: [unit.unit_id for unit in units]
+                   for shard, units in self.plan.items()}
+        planned = replayed.get("fabric_planned")
+        if planned is None:
+            self._journal.append({"type": "fabric_planned",
+                                  "mode": self.config.mode,
+                                  "shard_count": len(self.plan),
+                                  "shards": current})
+        elif planned.get("shards") != current:
+            raise FabricError(
+                f"fabric dir {self.fabric_dir!r} was planned with shards "
+                f"{planned.get('shards')!r}, which differ from "
+                f"{current!r}; use a fresh fabric dir for a reconfigured "
+                f"campaign")
+        if "global_stop" in replayed:
+            self._stopped_globally = True
+            self._set_drain(replayed["global_stop"].get(
+                "reason", "global early-stop"))
+
+    def _merge(self) -> FabricReport:
+        """Merge every lease journal into ``merged_report.json``.
+
+        Paused-ness comes from the merge *and* the lease table (a shard
+        drained between units leaves nothing in any journal);
+        ``fabric_done`` is journaled on full completion.  A merge
+        conflict is exported as a repro bundle before it propagates.
+        """
+        paths = fabric_journal_paths(self.fabric_dir)
+        try:
+            merged = merge_shard_journals(
+                paths, z=self.config.z,
+                stopped_globally=self._stopped_globally)
+        except MergeConflict as exc:
+            self._capture(exc, "fabric.merge", paths,
+                          lambda bundle: bundle.merge_outcome(exc),
+                          trial={"kind": "merge"})
+            raise
+        merged_path = self._path(MERGED_REPORT)
+        write_merged_report(merged, merged_path)
+        paused = merged.report.paused or any(
+            not self.table.completed(shard) for shard in self.plan)
+        if not paused:
+            self._journal.append({
+                "type": "fabric_done",
+                "stopped_globally": self._stopped_globally,
+                "merged": MERGED_REPORT})
+        status = {}
+        for shard in self.plan:
+            lease = self.table.current(shard)
+            if self.table.completed(shard):
+                status[shard] = "completed"
+            elif shard in self._paused_shards or paused:
+                status[shard] = "paused"
+            else:
+                status[shard] = lease.state if lease else "pending"
+        return FabricReport(
+            merged=merged, fabric_dir=self.fabric_dir,
+            merged_report_path=merged_path, shard_status=status,
+            stopped_globally=self._stopped_globally, paused=paused,
+            estimate=merged.estimate)
+
+    def _capture(self, error: Exception, capture_point: str,
+                 paths: Sequence[str], outcome: Callable[[Any], Any],
+                 trial: Optional[Dict[str, Any]] = None) -> None:
+        """Best-effort repro bundle of ``error`` freezing ``paths``.
+
+        ``outcome`` maps the :mod:`repro.bundle` module to the outcome
+        dict the replay must match.
+        """
+        if self.config.bundle_dir is None:
+            return
+        try:
+            import repro.bundle as bundle
+            bundle.capture_bundle(
+                error, capture_point=capture_point,
+                out_dir=self.config.bundle_dir, trial=trial,
+                outcome=outcome(bundle),
+                journal_files={os.path.basename(path): path
+                               for path in paths} or None)
+        except Exception:
+            pass  # a lost bundle must never mask the failure it records
+
+    def _lease_failure(self, shard: str, message: str,
+                       token: int) -> FabricError:
+        """A terminal lease failure, its lease journals bundled.
+
+        The failure is timing-dependent and cannot re-run, but what
+        reached the shard's lease journals is deterministic, so the
+        bundle's ``journal-verify`` trial matches their digest on replay.
+        """
+        error = FabricError(message, context={"shard": shard,
+                                              "token": token})
+        paths = [lease_journal_path(self.fabric_dir, shard, number)
+                 for number in range(1, self.table.token(shard) + 1)]
+        paths = [path for path in paths if os.path.exists(path)]
+        if paths:
+            self._capture(
+                error, "fabric.lease", paths,
+                lambda bundle: {"code": error.code,
+                                "journals": bundle.journal_digest(paths)},
+                trial={"kind": "journal-verify"})
+        return error
 
     def _loop(self) -> None:
         while True:
@@ -380,7 +527,10 @@ class CoordinatorService:
             "units": [wire_unit(unit) for unit in self.plan[shard]],
             "journal": lease_journal_path(self.fabric_dir, shard, token),
             "header": lease_header(shard, token, len(self.plan)),
-            "engine": self.config.shard_engine_config().to_dict(),
+            # the whole config, not the journaled to_dict(): fsync,
+            # salvage and bundle_dir must reach the holder's engine
+            "engine": dataclasses.asdict(
+                self.config.shard_engine_config()),
             "heartbeat_interval_s": self.config.heartbeat_interval_s}
 
     def _handle_attach(self, att: _Attachment,
@@ -421,23 +571,20 @@ class CoordinatorService:
     def _grant(self, att: _Attachment, shard: str, req: Any) -> None:
         previous = self.table.current(shard)
         if previous is not None:
-            if not self.config.steal and previous.reason \
-                    not in CampaignFabric._BENIGN_EXPIRY:
-                raise capture_lease_failure(FabricError(
+            if not self.config.steal and \
+                    previous.reason not in _BENIGN_EXPIRY:
+                raise self._lease_failure(
+                    shard,
                     f"shard {shard!r} lost lease token {previous.token} "
                     f"({previous.reason or 'expired'}) and work stealing "
-                    f"is disabled (steal=False)",
-                    context={"shard": shard, "token": previous.token}),
-                    shard, self.fabric_dir, self.config.bundle_dir)
+                    f"is disabled (steal=False)", previous.token)
             if self.table.token(shard) >= self.config.max_lease_attempts:
-                raise capture_lease_failure(FabricError(
+                raise self._lease_failure(
+                    shard,
                     f"shard {shard!r} exhausted its "
                     f"{self.config.max_lease_attempts} lease attempts; "
                     f"poison shard — inspect its lease journals under "
-                    f"{self.fabric_dir!r}",
-                    context={"shard": shard,
-                             "token": self.table.token(shard)}),
-                    shard, self.fabric_dir, self.config.bundle_dir)
+                    f"{self.fabric_dir!r}", self.table.token(shard))
         lease = self.table.grant(shard)
         journal_path = lease_journal_path(self.fabric_dir, shard,
                                           lease.token)
@@ -537,23 +684,14 @@ class CoordinatorService:
             context={"unit": unit, "batch": index,
                      "shard": message.get("shard"),
                      "token": int(message.get("token", 0))})
-        if self.config.bundle_dir is not None:
-            try:
-                from repro.bundle import capture_bundle, protocol_outcome
-                shard = message.get("shard")
-                journals = {
-                    os.path.basename(path): path
-                    for path in fabric_journal_paths(self.fabric_dir)
-                    if shard and os.path.basename(path).startswith(shard)}
-                capture_bundle(
-                    error, capture_point="coordinator.protocol",
-                    out_dir=self.config.bundle_dir,
-                    outcome=protocol_outcome(
-                        error, message=message,
-                        expected={"fingerprint": expected}),
-                    journal_files=journals or None)
-            except Exception:
-                pass  # a lost bundle must never mask the conflict
+        shard = message.get("shard")
+        self._capture(
+            error, "coordinator.protocol",
+            [path for path in fabric_journal_paths(self.fabric_dir)
+             if shard and os.path.basename(path).startswith(shard)],
+            lambda bundle: bundle.protocol_outcome(
+                error, message=message,
+                expected={"fingerprint": expected}))
         self._journal.append({
             "type": "protocol_conflict", "shard": message.get("shard"),
             "token": int(message.get("token", 0)), "unit": unit,
@@ -684,54 +822,9 @@ class CoordinatorService:
     def _set_drain(self, reason: str) -> None:
         if not self._drain_reason:
             self._drain_reason = reason
-        drain_path = self._path(CampaignFabric.DRAIN_FILE)
-        if not os.path.exists(drain_path):
-            atomic_write_text(drain_path, self._drain_reason)
         for att in list(self._attachments):
             self._send(att, {"type": "drain",
                              "reason": self._drain_reason})
         if not self._drain_announced:
             self._drain_announced = True
             self._emit("drain", reason=self._drain_reason)
-
-
-def run_service_campaign(units: Sequence[WorkUnit], fabric_dir: str,
-                         config: Optional[FabricConfig] = None,
-                         worker_count: Optional[int] = None
-                         ) -> FabricReport:
-    """One-process service deployment: coordinator + attached workers.
-
-    The drop-in service twin of
-    :func:`~repro.inject.fabric.run_fabric_campaign`: same ``fabric_dir``
-    layout, same merged report bytes — but the shards run in
-    :class:`~repro.inject.worker.ShardWorker` threads attached over an
-    in-process transport instead of forked holder processes.  Mostly a
-    stepping stone to the socket deployment
-    (``examples/fabric_service.py``) and the chaos tests, where the
-    transport between the same two endpoints gets hostile.
-    """
-    from repro.inject.transport import InProcessTransport
-    from repro.inject.worker import ShardWorker, WorkerConfig
-    import threading
-
-    transport = InProcessTransport()
-    service = CoordinatorService(fabric_dir, config=config,
-                                 listener=transport)
-    service.submit(units)
-    count = worker_count if worker_count is not None \
-        else len(service.plan)
-    workers = [ShardWorker(transport.connect,
-                           worker_id=f"worker-{index:02d}",
-                           config=WorkerConfig(seed=index))
-               for index in range(max(1, count))]
-    threads = [threading.Thread(target=worker.run,
-                                name=worker.worker_id, daemon=True)
-               for worker in workers]
-    for thread in threads:
-        thread.start()
-    try:
-        return service.serve()
-    finally:
-        transport.close()
-        for thread in threads:
-            thread.join(timeout=30.0)

@@ -419,10 +419,11 @@ def _tally_gpu_outcome(counts: Dict[str, int], state: Any, outcome: str,
                        verify: Callable[[], bool]):
     """Bin one GPU fault trial; returns its (trials, successes) increment.
 
-    The single classification used by the scalar loop, the batched
-    tensor path, and its scalar fallback reruns — one code path is what
-    keeps `tensor=True` count-identical to `tensor=False`.  ``outcome``
-    is ``"hang"``/``"crash"`` for runs that died, anything else for runs
+    The single classification used by the scalar loop
+    (:func:`_run_trials_scalar`), the batched tensor path, and its
+    scalar fallback reruns — one code path is what keeps `tensor=True`
+    count-identical to `tensor=False`.  ``outcome`` is
+    ``"hang"``/``"crash"`` for runs that died, anything else for runs
     that returned a state; ``verify`` is only called when the memory
     image actually decides the bin (fault fired, nothing detected).
     """
@@ -461,6 +462,66 @@ def _scalar_gpu_trial(kernel, launch, instance, state, max_steps):
     except SimulationError:
         return "crash", memory
     return "ok", memory
+
+
+def _draw_plan(rng: random.Random, launch: Any, occurrence_max: int,
+               where: str):
+    """One random single-bit :class:`~repro.gpu.resilience.FaultPlan`."""
+    from repro.gpu.resilience import FaultPlan
+
+    return FaultPlan(
+        cta_index=rng.randrange(launch.grid_ctas),
+        warp_index=rng.randrange(launch.warps_per_cta),
+        occurrence=rng.randrange(occurrence_max),
+        lane=rng.randrange(min(32, launch.threads_per_cta)),
+        bit=rng.randrange(32), where=where)
+
+
+def _state_factory(mode: str, code: str):
+    """``fresh_state(fault, scheme=None)`` for one batch's trials.
+
+    Builds a :class:`~repro.gpu.resilience.ResilienceState` under
+    ``mode``; swap modes get a new ``code`` scheme per call unless a
+    shared (immutable) one is passed in.
+    """
+    from repro.gpu.resilience import ResilienceState
+
+    def fresh_state(fault: Any, scheme_instance: Any = None):
+        if mode != "swap":
+            scheme_instance = None
+        elif scheme_instance is None:
+            scheme_instance = make_scheme(code)
+        return ResilienceState(mode=mode, scheme=scheme_instance,
+                               fault=fault)
+    return fresh_state
+
+
+def _run_trials_scalar(instance, kernel, launch, plans, fresh_state,
+                       max_steps: int,
+                       confirm: Optional[Callable[[Any], bool]] = None
+                       ) -> Dict[str, Any]:
+    """Run a plan list one scalar oracle trial at a time.
+
+    Every trial bins through :func:`_tally_gpu_outcome`, like the
+    tensor path.  ``confirm(plan)`` (recovery confirmation) runs for
+    each detection that returned a state and tallies ``recovered``
+    when it holds.
+    """
+    counts = _empty_counts()
+    trials = 0
+    successes = 0
+    for plan in plans:
+        state = fresh_state(plan)
+        outcome, memory = _scalar_gpu_trial(kernel, launch, instance,
+                                            state, max_steps)
+        t_inc, s_inc = _tally_gpu_outcome(
+            counts, state, outcome, lambda: instance.verify(memory))
+        trials += t_inc
+        successes += s_inc
+        if confirm is not None and outcome == "ok" and state.detected \
+                and confirm(plan):
+            counts["recovered"] += 1
+    return {"trials": trials, "successes": successes, "counts": counts}
 
 
 def _run_trials_tensor(instance, kernel, launch, plans, fresh_state,
@@ -548,9 +609,7 @@ def run_gpu_batch(params: Dict[str, Any], context: Any,
     scalar path.
     """
     from repro.compiler import compile_for_scheme, resilience_mode
-    from repro.gpu.device import run_functional
     from repro.gpu.recovery import run_with_recovery
-    from repro.gpu.resilience import FaultPlan, ResilienceState
     from repro.workloads import get_workload
 
     instance = context.get("instance") if isinstance(context, dict) else None
@@ -569,72 +628,26 @@ def run_gpu_batch(params: Dict[str, Any], context: Any,
     max_steps = params.get("max_steps", 50_000_000)
 
     rng = random.Random(batch.seed)
-    plans = [FaultPlan(
-        cta_index=rng.randrange(instance.launch.grid_ctas),
-        warp_index=rng.randrange(instance.launch.warps_per_cta),
-        occurrence=rng.randrange(occurrence_max),
-        lane=rng.randrange(min(32, instance.launch.threads_per_cta)),
-        bit=rng.randrange(32), where=where)
-        for _ in range(batch.size)]
-
-    def fresh_state(fault: Optional[FaultPlan],
-                    scheme_instance: Any = None) -> ResilienceState:
-        if mode != "swap":
-            scheme_instance = None
-        elif scheme_instance is None:
-            scheme_instance = make_scheme(code)
-        return ResilienceState(mode=mode, scheme=scheme_instance,
-                               fault=fault)
+    plans = [_draw_plan(rng, instance.launch, occurrence_max, where)
+             for _ in range(batch.size)]
+    fresh_state = _state_factory(mode, code)
 
     if params.get("tensor", True) and recovery_attempts <= 1:
         return _run_trials_tensor(
             instance, compiled.kernel, launch, plans, fresh_state,
             max_steps, params.get("trial_batch", 2048))
 
-    counts = _empty_counts()
-    trials = 0
-    successes = 0
-    for plan in plans:
-        state = fresh_state(plan)
-        memory = instance.fresh_memory()
-        try:
-            run_functional(compiled.kernel, launch, memory, state,
-                           max_steps=max_steps)
-        except HangError:
-            counts["hang"] += 1
-            trials += 1
-            successes += 1
-            continue
-        except SimulationError:
-            counts["crash"] += 1
-            trials += 1
-            successes += 1
-            continue
-        if state.detected:
-            kind = "trap" if any(event.kind == "trap"
-                                 for event in state.events) else "due"
-            counts[kind] += 1
-            trials += 1
-            successes += 1
-            if recovery_attempts > 1:
-                struck = [plan]
-                outcome = run_with_recovery(
-                    compiled.kernel, launch, instance.memory,
-                    lambda: fresh_state(struck.pop() if struck else None),
-                    max_attempts=recovery_attempts)
-                if instance.verify(outcome.memory):
-                    counts["recovered"] += 1
-        elif not state.fault_fired:
-            counts["not_hit"] += 1
-        elif instance.verify(memory):
-            if any(event.kind == "corrected" for event in state.events):
-                counts["corrected_in_place"] += 1
-            counts["masked"] += 1
-            trials += 1
-        else:
-            counts["sdc"] += 1
-            trials += 1
-    return {"trials": trials, "successes": successes, "counts": counts}
+    def contained(plan: Any) -> bool:
+        struck = [plan]
+        outcome = run_with_recovery(
+            compiled.kernel, launch, instance.memory,
+            lambda: fresh_state(struck.pop() if struck else None),
+            max_attempts=recovery_attempts)
+        return instance.verify(outcome.memory)
+
+    return _run_trials_scalar(
+        instance, compiled.kernel, launch, plans, fresh_state, max_steps,
+        confirm=contained if recovery_attempts > 1 else None)
 
 
 def run_gpu_recovery_batch(params: Dict[str, Any], context: Any,
@@ -659,7 +672,7 @@ def run_gpu_recovery_batch(params: Dict[str, Any], context: Any,
     from repro.compiler import compile_for_scheme, resilience_mode
     from repro.gpu.recovery import (ContainmentAuditor, LadderConfig,
                                     run_with_ladder)
-    from repro.gpu.resilience import FaultPlan, ResilienceState
+    from repro.gpu.resilience import ResilienceState
     from repro.gpu.watchdog import WatchdogConfig
     from repro.workloads import get_workload
 
@@ -702,12 +715,7 @@ def run_gpu_recovery_batch(params: Dict[str, Any], context: Any,
     detections = 0
     audits = 0
     for trial_index in range(batch.size):
-        plan = FaultPlan(
-            cta_index=rng.randrange(instance.launch.grid_ctas),
-            warp_index=rng.randrange(instance.launch.warps_per_cta),
-            occurrence=rng.randrange(occurrence_max),
-            lane=rng.randrange(min(32, instance.launch.threads_per_cta)),
-            bit=rng.randrange(32), where=where)
+        plan = _draw_plan(rng, instance.launch, occurrence_max, where)
         armed = [plan] if not persistent else None
 
         def make_state() -> ResilienceState:
@@ -823,8 +831,7 @@ def run_mbu_sweep_batch(params: Dict[str, Any], context: Any,
     default (``tensor=False`` pins the scalar loop; counts identical).
     """
     from repro.compiler import compile_for_scheme, resilience_mode
-    from repro.gpu.device import run_functional
-    from repro.gpu.resilience import FaultPlan, ResilienceState
+    from repro.gpu.resilience import FaultPlan
     from repro.workloads import get_workload
 
     multiplicity = params.get("multiplicity", 1)
@@ -871,15 +878,7 @@ def run_mbu_sweep_batch(params: Dict[str, Any], context: Any,
             occurrence=rng.randrange(occurrence_max),
             lane=lanes[0], bit=bits[0], bits=bits, lanes=lanes,
             where=where))
-
-    def fresh_state(fault: Optional[FaultPlan],
-                    scheme_instance: Any = None) -> ResilienceState:
-        if mode != "swap":
-            scheme_instance = None
-        elif scheme_instance is None:
-            scheme_instance = make_scheme(code)
-        return ResilienceState(mode=mode, scheme=scheme_instance,
-                               fault=fault)
+    fresh_state = _state_factory(mode, code)
 
     payload = {"multiplicity": multiplicity, "pattern": pattern,
                "lane_spread": lane_spread, "where": where}
@@ -887,46 +886,11 @@ def run_mbu_sweep_batch(params: Dict[str, Any], context: Any,
         report = _run_trials_tensor(
             instance, compiled.kernel, launch, plans, fresh_state,
             max_steps, params.get("trial_batch", 2048))
-        report["payload"].update(payload)
-        return report
-
-    counts = _empty_counts()
-    trials = 0
-    successes = 0
-    for plan in plans:
-        state = fresh_state(plan)
-        memory = instance.fresh_memory()
-        try:
-            run_functional(compiled.kernel, launch, memory, state,
-                           max_steps=max_steps)
-        except HangError:
-            counts["hang"] += 1
-            trials += 1
-            successes += 1
-            continue
-        except SimulationError:
-            counts["crash"] += 1
-            trials += 1
-            successes += 1
-            continue
-        if state.detected:
-            kind = "trap" if any(event.kind == "trap"
-                                 for event in state.events) else "due"
-            counts[kind] += 1
-            trials += 1
-            successes += 1
-        elif not state.fault_fired:
-            counts["not_hit"] += 1
-        elif instance.verify(memory):
-            if any(event.kind == "corrected" for event in state.events):
-                counts["corrected_in_place"] += 1
-            counts["masked"] += 1
-            trials += 1
-        else:
-            counts["sdc"] += 1
-            trials += 1
-    return {"trials": trials, "successes": successes, "counts": counts,
-            "payload": payload}
+    else:
+        report = _run_trials_scalar(instance, compiled.kernel, launch,
+                                    plans, fresh_state, max_steps)
+    report.setdefault("payload", {}).update(payload)
+    return report
 
 
 register_unit_kind("gate", run_gate_batch)

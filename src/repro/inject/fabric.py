@@ -1,72 +1,45 @@
-"""Fault-tolerant distributed campaign fabric (coordinator + leased shards).
+"""Fault-tolerant distributed campaign fabric (leased shards, one coordinator).
 
 The paper's coverage numbers rest on statistically large injection
 campaigns; one host's supervised engine tops out near a few thousand
 trials per second.  The fabric generalizes the engine/supervisor/journal
-stack from a subprocess pool to a *sharded fleet* that survives worker
-loss, shard death, and coordinator restart without corrupting a single
-tally:
+stack from a subprocess pool to a *sharded fleet* that survives holder
+loss and coordinator restart without corrupting a single tally.
 
 **Leased shards.**  The campaign is split into deterministic work-unit
 shards (:func:`partition_units` round-robins distinct units;
 :func:`replicate_units` clones every unit per shard with disjoint seed
 ranges via :func:`~repro.inject.engine.shard_work_unit`).  A shard only
-ever runs under a *lease* (:mod:`repro.inject.lease`): a TTL, a
-heartbeat file, and a fencing token.  Leases whose heartbeats stop
+ever runs under a *lease* (:mod:`repro.inject.lease`): a TTL renewed by
+heartbeat messages, and a fencing token.  Leases whose heartbeats stop
 advancing are expired and — with ``steal=True`` — re-granted to a fresh
 holder whose journal is rebased from every prior holder's durable
 records; a completion carrying a superseded token is rejected, so
 duplicated execution can never double-count.
 
-**Per-shard journals, deterministic merge.**  Each lease holder runs the
-existing supervised :class:`~repro.inject.engine.CampaignEngine` against
-its own CRC32+rix tamper-evident journal, stamped with shard identity in
-the header.  :func:`~repro.inject.merge.merge_shard_journals` reduces
-all lease journals into one :class:`~repro.inject.engine.CampaignReport`
-— stable ``(shard, rix)`` ordering, salvage-aware, idempotent, and
-count-identical under replay.
-
-**Global early-stop.**  The coordinator tails every shard journal with a
-:class:`~repro.inject.journal.JournalCursor` and ticks a fleet-wide
-Wilson estimator on each progress event; once the confidence interval
-is tighter than ``global_ci_half_width`` it broadcasts a drain (a drain
-file every shard engine polls through its ``drain_hook``), and every
-shard pauses at a safe point with a ``campaign_paused`` journal record.
-
-**Crash-tolerant coordinator.**  The lease table, fencing counters, and
-shard plan are journaled to ``coordinator.jsonl`` with the same CRC+rix
-format; rerunning the fabric against the same directory after a SIGKILL
-replays that journal, expires every lease that was in flight, re-grants
-under fresh tokens, and produces a merged report byte-identical to an
-undisturbed same-seed run.
+**One coordinator, two deployments.**  Leases, the coordinator journal,
+the global Wilson early-stop and the deterministic merge all live in
+:class:`~repro.inject.coordinator.CoordinatorService`.  Holders are
+:class:`~repro.inject.worker.ShardWorker` processes speaking its frame
+protocol.  :class:`CampaignFabric` is the local deployment: the service
+plus one forked holder per planned shard, each on a
+``socket.socketpair()``.  ``examples/fabric_service.py`` is the socket
+deployment, with holders attaching from anywhere.  Both write the same
+``fabric_dir`` and the same ``merged_report.json`` bytes, and either
+can resume the other's directory.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal as _signal
-import sys
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import (FabricConfigError, FabricError, LeaseExpired,
-                          MergeConflict, StaleFencingToken)
-from repro.inject.engine import (CampaignEngine, EngineConfig, WilsonEstimate,
-                                 WorkUnit, shard_work_unit, wilson_interval)
-from repro.inject.journal import (Journal, JournalCursor, atomic_write_text,
-                                  _scan_journal)
-from repro.inject.lease import LeaseTable
-from repro.inject.lease import rebase_journal
-from repro.inject.merge import (MergedCampaign, fabric_journal_paths,
-                                merge_shard_journals, write_merged_report)
-from repro.inject.supervisor import (CampaignSupervisor, SupervisorConfig,
-                                     read_heartbeat)
-
-#: shard process exit codes the coordinator interprets
-_EXIT_COMPLETED = 0
-_EXIT_PAUSED = 3
+from repro.errors import FabricConfigError, FabricError
+from repro.inject.engine import (EngineConfig, WilsonEstimate, WorkUnit,
+                                 shard_work_unit)
+from repro.inject.merge import MergedCampaign
 
 #: a lease TTL must clear the heartbeat interval by at least this factor
 #: so a single delayed/dropped beat (scheduler hiccup, chaos transport)
@@ -111,9 +84,9 @@ class FabricConfig:
     mode: str = "partition"
     #: lease TTL: a shard whose heartbeat stalls this long is expired
     lease_ttl_s: float = 30.0
-    #: how often each shard's lease heartbeat beats
+    #: how often each holder sends its lease a heartbeat message
     heartbeat_interval_s: float = 0.25
-    #: coordinator poll cadence (process liveness, heartbeats, cursors)
+    #: coordinator poll cadence (holders, messages, TTLs, cursors)
     poll_interval_s: float = 0.05
     #: re-grant expired/dead leases to fresh holders (work stealing);
     #: with False a lost lease fails the whole fabric instead
@@ -130,9 +103,6 @@ class FabricConfig:
     #: per-shard engine configuration; None = engine defaults with
     #: per-unit early stopping disabled (the global estimator governs)
     engine: Optional[EngineConfig] = None
-    #: multiprocessing start method for shard processes; "fork" lets
-    #: shards inherit non-picklable unit contexts
-    start_method: str = "fork"
     #: hook SIGTERM/SIGINT on the coordinator into a fleet-wide drain
     install_signal_handlers: bool = True
     #: directory terminal fabric failures (lost leases with stealing
@@ -208,38 +178,11 @@ class FabricReport:
         return self.merged.report
 
 
-class _GlobalEstimator:
-    """Online fleet-wide Wilson estimator fed by journal cursors."""
 
-    def __init__(self, half_width: Optional[float], min_trials: int,
-                 z: float):
-        self.half_width = half_width
-        self.min_trials = min_trials
-        self.z = z
-        self.trials = 0
-        self.successes = 0
-        self._seen: Set[tuple] = set()
 
-    def absorb(self, record: Dict[str, Any]) -> None:
-        """Tick on one journal record (batches only; idempotent)."""
-        if record.get("type") != "batch":
-            return
-        key = (record.get("unit"), record.get("index"))
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.trials += record.get("trials", 0)
-        self.successes += record.get("successes", 0)
-
-    @property
-    def estimate(self) -> WilsonEstimate:
-        return wilson_interval(self.successes, self.trials, self.z)
-
-    @property
-    def tight(self) -> bool:
-        if self.half_width is None or self.trials < self.min_trials:
-            return False
-        return self.estimate.half_width <= self.half_width
+#: the coordinator's own journal and the merged artifact, per fabric dir
+COORDINATOR_JOURNAL = "coordinator.jsonl"
+MERGED_REPORT = "merged_report.json"
 
 
 def _shard_id(index: int) -> str:
@@ -249,11 +192,6 @@ def _shard_id(index: int) -> str:
 def lease_journal_path(fabric_dir: str, shard: str, token: int) -> str:
     """The journal path of one lease grant (shared fabric naming)."""
     return os.path.join(fabric_dir, f"{shard}.lease-{token:03d}.jsonl")
-
-
-def heartbeat_path(fabric_dir: str, shard: str) -> str:
-    """The heartbeat-file path of one shard (shared fabric naming)."""
-    return os.path.join(fabric_dir, f"{shard}.heartbeat")
 
 
 def lease_header(shard: str, token: int,
@@ -267,10 +205,8 @@ def build_plan(units: Sequence[WorkUnit],
                config: "FabricConfig") -> Dict[str, List[WorkUnit]]:
     """Deterministically map a campaign onto named shards.
 
-    Shared by the forking :class:`CampaignFabric` and the
-    network-attached :class:`~repro.inject.coordinator.CoordinatorService`
-    so both produce the same shard ids for the same units — which is
-    what makes their merged reports byte-identical.
+    The same units always get the same shard ids, which is what makes
+    merged reports byte-identical across runs and deployments.
     """
     ids = [unit.unit_id for unit in units]
     if len(set(ids)) != len(ids):
@@ -285,153 +221,20 @@ def build_plan(units: Sequence[WorkUnit],
     return plan
 
 
-def replay_coordinator_state(path: str,
-                             table: LeaseTable) -> Dict[str, Any]:
-    """Rebuild lease/fencing/plan state from a coordinator journal.
-
-    Feeds every lease transition through ``table.apply_record`` (active
-    leases come back expired with reason ``coordinator restart``) and
-    returns the non-lease replay facts: the recorded plan, any global
-    stop, and whether the fabric already finished.
-    """
-    replay: Dict[str, Any] = {"planned": None, "global_stop": None,
-                              "done": False}
-
-    def absorb(record: Dict[str, Any]) -> None:
-        kind = record.get("type")
-        if kind == "fabric_planned" and replay["planned"] is None:
-            replay["planned"] = record
-        elif kind in ("lease_granted", "lease_expired",
-                      "lease_paused", "lease_completed"):
-            table.apply_record(record)
-        elif kind == "global_stop":
-            replay["global_stop"] = record
-        elif kind == "fabric_done":
-            replay["done"] = True
-
-    if os.path.exists(path) and os.path.getsize(path) > 0:
-        _scan_journal(path, salvage=True, absorb=absorb)
-    return replay
-
-
-def record_or_check_plan(journal: Journal,
-                         planned: Optional[Dict[str, Any]],
-                         plan: Dict[str, List[WorkUnit]], mode: str,
-                         fabric_dir: str) -> None:
-    """Journal a fresh plan, or refuse a resume against a changed one."""
-    current = {shard: [unit.unit_id for unit in units]
-               for shard, units in plan.items()}
-    if planned is None:
-        journal.append({"type": "fabric_planned", "mode": mode,
-                        "shard_count": len(plan), "shards": current})
-        return
-    recorded = planned.get("shards")
-    if recorded != current:
-        raise FabricError(
-            f"fabric dir {fabric_dir!r} was planned with shards "
-            f"{recorded!r}, which differ from {current!r}; use a "
-            f"fresh fabric dir for a reconfigured campaign")
-
-
-def capture_lease_failure(error: FabricError, shard: str,
-                          fabric_dir: str,
-                          bundle_dir: Optional[str]) -> FabricError:
-    """Export a shard's durable lease state as a repro bundle.
-
-    A lease failure is timing-dependent and cannot re-run, but its
-    *residue* — what actually reached the shard's lease journals — is
-    deterministic, so the bundle freezes those journals and a
-    ``journal-verify`` trial matches their digest on replay.
-    Best-effort; always returns ``error`` so callers can
-    ``raise capture_lease_failure(...)`` in one expression.
-    """
-    if bundle_dir is None:
-        return error
-    try:
-        from repro.bundle import capture_bundle, journal_digest
-        paths = []
-        token = 1
-        while True:
-            path = lease_journal_path(fabric_dir, shard, token)
-            if not os.path.exists(path):
-                break
-            paths.append(path)
-            token += 1
-        if not paths:
-            return error
-        outcome = {"code": error.code,
-                   "journals": journal_digest(paths)}
-        capture_bundle(
-            error, capture_point="fabric.lease", out_dir=bundle_dir,
-            trial={"kind": "journal-verify"}, outcome=outcome,
-            journal_files={os.path.basename(path): path
-                           for path in paths})
-    except Exception:
-        pass  # a lost bundle must never mask the lease failure
-    return error
-
-
-def capture_merge_conflict(error: MergeConflict, fabric_dir: str,
-                           bundle_dir: Optional[str]) -> None:
-    """Export every fabric journal plus a re-runnable merge trial."""
-    if bundle_dir is None:
-        return
-    try:
-        from repro.bundle import capture_bundle, merge_outcome
-        paths = fabric_journal_paths(fabric_dir)
-        capture_bundle(
-            error, capture_point="fabric.merge", out_dir=bundle_dir,
-            trial={"kind": "merge"}, outcome=merge_outcome(error),
-            journal_files={os.path.basename(path): path
-                           for path in paths})
-    except Exception:
-        pass  # a lost bundle must never mask the merge conflict
-
-
-def _shard_entry(shard: str, token: int, units: Sequence[WorkUnit],
-                 journal_path: str, header: Dict[str, Any],
-                 heartbeat_path: str, drain_path: str,
-                 engine_config: EngineConfig,
-                 heartbeat_interval_s: float) -> None:
-    """Shard process main: supervised engine + lease heartbeat + drain poll.
-
-    Exit codes are the completion protocol: 0 means every unit reached a
-    terminal record, 3 means a drain paused the sweep mid-flight (the
-    coordinator decides whether that was the global early-stop or an
-    interruption to resume later); anything else is a crash and expires
-    the lease.
-    """
-    def drain_hook() -> Optional[str]:
-        try:
-            with open(drain_path, "r", encoding="utf-8") as handle:
-                reason = handle.read().strip()
-        except OSError:
-            return None
-        return reason or "fabric drain broadcast"
-
-    supervisor = CampaignSupervisor(SupervisorConfig())
-    engine = CampaignEngine(engine_config, supervisor=supervisor,
-                            drain_hook=drain_hook)
-    with supervisor, supervisor.lease_heartbeat(heartbeat_path, token,
-                                                heartbeat_interval_s):
-        report = engine.run(list(units), journal_path,
-                            journal_header=header)
-    sys.exit(_EXIT_PAUSED if report.paused else _EXIT_COMPLETED)
-
-
 class CampaignFabric:
-    """Coordinator for one sharded, leased, crash-tolerant campaign.
+    """The local deployment: one coordinator plus forked shard holders.
 
-    All durable state lives under ``fabric_dir``:
+    A :class:`~repro.inject.coordinator.CoordinatorService` whose
+    listener (:class:`~repro.inject.worker.LocalHolders`) forks one
+    :class:`~repro.inject.worker.ShardWorker` holder per planned shard
+    and re-forks any holder that dies.  All durable state lives under
+    ``fabric_dir``:
 
     * ``coordinator.jsonl`` — the coordinator's own CRC+rix journal
       (shard plan, every lease transition, the global stop, the final
       ``fabric_done``);
     * ``shard-<k>.lease-<t>.jsonl`` — one engine journal per lease
       grant, rebased from its predecessors on every steal;
-    * ``shard-<k>.heartbeat`` — each holder's atomically-replaced
-      liveness proof;
-    * ``drain`` — the drain broadcast file (its content is the reason);
     * ``merged_report.json`` — the canonical merged artifact.
 
     Rerunning a fabric against the same directory *is* the resume path:
@@ -440,365 +243,45 @@ class CampaignFabric:
     produces byte-identical results.
     """
 
-    COORDINATOR_JOURNAL = "coordinator.jsonl"
-    MERGED_REPORT = "merged_report.json"
-    DRAIN_FILE = "drain"
-
     def __init__(self, units: Sequence[WorkUnit], fabric_dir: str,
                  config: Optional[FabricConfig] = None):
+        # coordinator and worker build on this module's vocabulary
+        from repro.inject.coordinator import CoordinatorService
+        from repro.inject.worker import LocalHolders
+
         self.config = config if config is not None else FabricConfig()
         self.fabric_dir = fabric_dir
-        self.plan: Dict[str, List[WorkUnit]] = build_plan(units,
-                                                          self.config)
-        self.table = LeaseTable(ttl_s=self.config.lease_ttl_s)
-        self.processes: Dict[str, Any] = {}
-        self._process_tokens: Dict[str, int] = {}
-        self._cursors: Dict[str, JournalCursor] = {}
-        self._paused_shards: Set[str] = set()
-        self._failed_shards: Dict[str, str] = {}
-        self._estimator = _GlobalEstimator(
-            self.config.global_ci_half_width,
-            self.config.global_min_trials, self.config.z)
-        self._stopped_globally = False
-        self._drain_reason = ""
-        self._journal: Optional[Journal] = None
-        self._previous_handlers: Dict[int, Any] = {}
-
-    # -- paths -------------------------------------------------------------
-
-    def _path(self, name: str) -> str:
-        return os.path.join(self.fabric_dir, name)
-
-    def _lease_journal(self, shard: str, token: int) -> str:
-        return lease_journal_path(self.fabric_dir, shard, token)
-
-    def _heartbeat_path(self, shard: str) -> str:
-        return heartbeat_path(self.fabric_dir, shard)
-
-    def _lease_header(self, shard: str, token: int) -> Dict[str, Any]:
-        return lease_header(shard, token, len(self.plan))
-
-    # -- drain -------------------------------------------------------------
+        self.service = CoordinatorService(fabric_dir, self.config)
+        self.service.submit(units)
+        self.service.listener = LocalHolders(len(self.service.plan))
+        #: holder id -> forked holder process
+        self.processes: Dict[str, Any] = self.service.listener.processes
 
     def request_drain(self, reason: str = "drain requested") -> None:
-        """Broadcast a fleet-wide drain (idempotent, crash-durable)."""
-        if not self._drain_reason:
-            self._drain_reason = reason
-        self._broadcast_drain(self._drain_reason)
-
-    def _broadcast_drain(self, reason: str) -> None:
-        drain_path = self._path(self.DRAIN_FILE)
-        if not os.path.exists(drain_path):
-            atomic_write_text(drain_path, reason)
+        """Drain the fleet: every holder pauses at its next safe point."""
+        self.service.request_drain(reason)
 
     def _handle_signal(self, signum, frame) -> None:
         self.request_drain(f"signal {_signal.Signals(signum).name}")
 
-    # -- coordinator journal replay ----------------------------------------
-
-    def _replay(self) -> Dict[str, Any]:
-        """Rebuild lease/fencing/plan state from the coordinator journal."""
-        return replay_coordinator_state(
-            self._path(self.COORDINATOR_JOURNAL), self.table)
-
-    def _check_plan(self, planned: Optional[Dict[str, Any]]) -> None:
-        record_or_check_plan(self._journal, planned, self.plan,
-                             self.config.mode, self.fabric_dir)
-
-    # -- lease lifecycle ---------------------------------------------------
-
-    #: expiry reasons that are *not* steals: re-granting after these is
-    #: plain resume and stays legal even with steal=False
-    _BENIGN_EXPIRY = ("coordinator restart", "paused", "drained (paused)")
-
-    def _grant(self, shard: str) -> None:
-        previous = self.table.current(shard)
-        if previous is not None:
-            if not self.config.steal and \
-                    previous.reason not in self._BENIGN_EXPIRY:
-                raise self._captured_lease_failure(FabricError(
-                    f"shard {shard!r} lost lease token {previous.token} "
-                    f"({previous.reason or 'expired'}) and work stealing "
-                    f"is disabled (steal=False)",
-                    context={"shard": shard, "token": previous.token}),
-                    shard)
-            if self.table.token(shard) >= self.config.max_lease_attempts:
-                raise self._captured_lease_failure(FabricError(
-                    f"shard {shard!r} exhausted its "
-                    f"{self.config.max_lease_attempts} lease attempts; "
-                    f"poison shard — inspect its lease journals under "
-                    f"{self.fabric_dir!r}",
-                    context={"shard": shard,
-                             "token": self.table.token(shard)}), shard)
-        lease = self.table.grant(shard)
-        journal_path = self._lease_journal(shard, lease.token)
-        self._journal.append({
-            "type": "lease_granted", "shard": shard, "token": lease.token,
-            "ttl_s": lease.ttl_s,
-            "journal": os.path.basename(journal_path)})
-        sources = [self._lease_journal(shard, token)
-                   for token in range(1, lease.token)]
-        rebase_journal(sources, journal_path,
-                       header=self._lease_header(shard, lease.token))
-        self._watch(journal_path)
-        context = multiprocessing.get_context(self.config.start_method)
-        process = context.Process(
-            target=_shard_entry,
-            args=(shard, lease.token, self.plan[shard], journal_path,
-                  self._lease_header(shard, lease.token),
-                  self._heartbeat_path(shard), self._path(self.DRAIN_FILE),
-                  self.config.shard_engine_config(),
-                  self.config.heartbeat_interval_s))
-        process.start()
-        self.processes[shard] = process
-        self._process_tokens[shard] = lease.token
-
-    def _watch(self, journal_path: str) -> None:
-        if journal_path not in self._cursors:
-            self._cursors[journal_path] = JournalCursor(journal_path)
-
-    # -- repro-bundle capture ----------------------------------------------
-
-    def _captured_lease_failure(self, error: FabricError,
-                                shard: str) -> FabricError:
-        return capture_lease_failure(error, shard, self.fabric_dir,
-                                     self.config.bundle_dir)
-
-    def _capture_merge_conflict(self, error: MergeConflict) -> None:
-        capture_merge_conflict(error, self.fabric_dir,
-                               self.config.bundle_dir)
-
-    def _reap(self, shard: str) -> None:
-        """Settle a shard process that exited."""
-        process = self.processes.pop(shard)
-        token = self._process_tokens.pop(shard)
-        exitcode = process.exitcode
-        process.join()
-        if exitcode == _EXIT_COMPLETED:
-            self._accept(shard, token, paused=False)
-        elif exitcode == _EXIT_PAUSED:
-            if self._stopped_globally:
-                self._accept(shard, token, paused=True)
-            else:
-                # An interruption (coordinator drain, direct signal to
-                # the shard): release the lease cleanly so a resume
-                # re-grants it; the journal keeps every durable batch.
-                try:
-                    self.table.expire(shard, "drained (paused)")
-                except FabricError:
-                    pass
-                self._journal.append({"type": "lease_paused",
-                                      "shard": shard, "token": token})
-                self._paused_shards.add(shard)
-        else:
-            try:
-                self.table.expire(
-                    shard, f"holder died with exit code {exitcode}")
-            except FabricError:
-                pass
-            self._journal.append({
-                "type": "lease_expired", "shard": shard, "token": token,
-                "reason": f"holder died with exit code {exitcode}"})
-
-    def _accept(self, shard: str, token: int, paused: bool) -> None:
-        """Run a completion through the fencing gate."""
-        try:
-            self.table.complete(shard, token)
-        except (StaleFencingToken, LeaseExpired) as exc:
-            # The fencing rule in action: a superseded or expired holder
-            # finished anyway.  Its journal merges idempotently; only
-            # its *bookkeeping* claim is refused.
-            self._journal.append({
-                "type": "lease_rejected", "shard": shard, "token": token,
-                "code": exc.code, "reason": str(exc)})
-            return
-        self._journal.append({"type": "lease_completed", "shard": shard,
-                              "token": token, "paused": paused})
-
-    def _expire_stalled(self) -> None:
-        for shard in self.table.expired_shards():
-            lease = self.table.current(shard)
-            reason = (f"no heartbeat for {self.config.lease_ttl_s:.1f}s "
-                      f"(token {lease.token})")
-            self.table.expire(shard, reason)
-            self._journal.append({"type": "lease_expired", "shard": shard,
-                                  "token": lease.token, "reason": reason})
-            process = self.processes.pop(shard, None)
-            self._process_tokens.pop(shard, None)
-            if process is not None and process.is_alive():
-                # Single-host fencing enforcement: the presumed-dead
-                # holder is killed outright so it cannot race the thief
-                # on shared resources.  (Its journal stays, and merge
-                # dedup would make even a surviving zombie harmless.)
-                process.kill()
-                process.join(5.0)
-
-    def _renew_from_heartbeats(self) -> None:
-        for shard in self.table.active_shards():
-            beat = read_heartbeat(self._heartbeat_path(shard))
-            if beat is None:
-                continue
-            lease = self.table.current(shard)
-            if beat.get("token") != lease.token:
-                continue  # zombie beat under a superseded token
-            try:
-                self.table.renew(shard, lease.token,
-                                 int(beat.get("beat", 0)))
-            except (StaleFencingToken, LeaseExpired):  # pragma: no cover
-                pass
-
-    # -- global early-stop -------------------------------------------------
-
-    def _tick_estimator(self) -> None:
-        for cursor in self._cursors.values():
-            for record in cursor.poll():
-                self._estimator.absorb(record)
-        if not self._stopped_globally and self._estimator.tight:
-            estimate = self._estimator.estimate
-            reason = (f"global early-stop: detection rate {estimate} "
-                      f"after {estimate.trials} fleet-wide trials")
-            self._stopped_globally = True
-            self._journal.append({
-                "type": "global_stop", "reason": reason,
-                "estimate": {
-                    "rate": estimate.rate, "low": estimate.low,
-                    "high": estimate.high, "trials": estimate.trials,
-                    "successes": estimate.successes}})
-            self._broadcast_drain(reason)
-
-    # -- main loop ---------------------------------------------------------
-
     def run(self) -> FabricReport:
-        """Drive every shard to completion (or drain), then merge."""
-        os.makedirs(self.fabric_dir, exist_ok=True)
-        self._journal = Journal(self._path(self.COORDINATOR_JOURNAL),
-                                salvage=True,
-                                header={"role": "fabric-coordinator"})
-        self._install_handlers()
+        """Serve every shard to completion (or drain), then merge."""
+        previous: Dict[int, Any] = {}
+        if self.config.install_signal_handlers:
+            try:
+                for signum in (_signal.SIGTERM, _signal.SIGINT):
+                    previous[signum] = _signal.signal(
+                        signum, self._handle_signal)
+            except ValueError:
+                # Off the main thread CPython forbids signal(); callers
+                # can still request_drain() programmatically.
+                pass
         try:
-            replay = self._replay()
-            self._check_plan(replay["planned"])
-            if replay["global_stop"] is not None:
-                self._stopped_globally = True
-                self._broadcast_drain(
-                    replay["global_stop"].get("reason", "global early-stop"))
-            for path in fabric_journal_paths(self.fabric_dir):
-                self._watch(path)
-            self._loop()
-            _, report = self._merge()
-            return report
+            return self.service.serve()
         finally:
-            self._terminate_all()
-            self._uninstall_handlers()
-            self._journal.close()
-            self._journal = None
-
-    def _loop(self) -> None:
-        while True:
-            open_shards = [
-                shard for shard in self.plan
-                if not self.table.completed(shard)
-                and shard not in self._paused_shards]
-            if not open_shards or \
-                    (self._drain_reason and not self.processes):
-                return
-            for shard in open_shards:
-                lease = self.table.current(shard)
-                if (lease is None or not lease.active) and \
-                        not self._drain_reason:
-                    self._grant(shard)
-            for shard in list(self.processes):
-                if not self.processes[shard].is_alive():
-                    self._reap(shard)
-            self._renew_from_heartbeats()
-            self._expire_stalled()
-            self._tick_estimator()
-            time.sleep(self.config.poll_interval_s)
-
-    def _merge(self):
-        report = finalize_fabric_merge(
-            self.fabric_dir, z=self.config.z,
-            stopped_globally=self._stopped_globally, table=self.table,
-            plan=self.plan, paused_shards=self._paused_shards,
-            journal=self._journal, bundle_dir=self.config.bundle_dir)
-        return report.merged, report
-
-    def _terminate_all(self) -> None:
-        for shard, process in list(self.processes.items()):
-            if process.is_alive():
-                process.terminate()
-                process.join(5.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(5.0)
-        self.processes.clear()
-        self._process_tokens.clear()
-
-    def _install_handlers(self) -> None:
-        if not self.config.install_signal_handlers:
-            return
-        try:
-            for signum in (_signal.SIGTERM, _signal.SIGINT):
-                self._previous_handlers[signum] = _signal.signal(
-                    signum, self._handle_signal)
-        except ValueError:
-            # Off the main thread CPython forbids signal(); callers can
-            # still request_drain() programmatically.
-            for signum, handler in self._previous_handlers.items():
-                _signal.signal(signum, handler)  # pragma: no cover
-            self._previous_handlers.clear()
-
-    def _uninstall_handlers(self) -> None:
-        while self._previous_handlers:
-            signum, handler = self._previous_handlers.popitem()
-            _signal.signal(signum, handler)
-
-
-def finalize_fabric_merge(fabric_dir: str, *, z: float,
-                          stopped_globally: bool, table: LeaseTable,
-                          plan: Dict[str, List[WorkUnit]],
-                          paused_shards: Set[str],
-                          journal: Optional[Journal],
-                          bundle_dir: Optional[str]) -> FabricReport:
-    """Merge every lease journal under ``fabric_dir`` into the artifact.
-
-    The shared tail of both coordinators (forking fabric and the
-    network-attached service): merge, write ``merged_report.json``,
-    decide paused-ness (a shard drained *between* units leaves nothing
-    in any journal, so the lease table has the only evidence), journal
-    ``fabric_done`` on full completion, and assemble the
-    :class:`FabricReport`.  A merge conflict is exported as a repro
-    bundle before it propagates.
-    """
-    try:
-        merged = merge_shard_journals(
-            fabric_journal_paths(fabric_dir), z=z,
-            stopped_globally=stopped_globally)
-    except MergeConflict as exc:
-        capture_merge_conflict(exc, fabric_dir, bundle_dir)
-        raise
-    merged_path = os.path.join(fabric_dir, CampaignFabric.MERGED_REPORT)
-    write_merged_report(merged, merged_path)
-    paused = merged.report.paused or any(
-        not table.completed(shard) for shard in plan)
-    if not paused and journal is not None:
-        journal.append({
-            "type": "fabric_done", "stopped_globally": stopped_globally,
-            "merged": os.path.basename(merged_path)})
-    status = {}
-    for shard in plan:
-        lease = table.current(shard)
-        if table.completed(shard):
-            status[shard] = "completed"
-        elif shard in paused_shards or paused:
-            status[shard] = "paused"
-        else:
-            status[shard] = lease.state if lease else "pending"
-    return FabricReport(
-        merged=merged, fabric_dir=fabric_dir,
-        merged_report_path=merged_path, shard_status=status,
-        stopped_globally=stopped_globally, paused=paused,
-        estimate=merged.estimate)
+            self.service.listener.close()
+            for signum, handler in previous.items():
+                _signal.signal(signum, handler)
 
 
 def run_fabric_campaign(units: Sequence[WorkUnit], fabric_dir: str,

@@ -7,9 +7,10 @@ shard to a worker directly — it grants a **lease**:
 * every grant increments the shard's **fencing token**, a monotonic
   per-shard counter that survives coordinator restarts (it is replayed
   from the coordinator journal);
-* the lease carries a **TTL**: a holder proves liveness by heartbeating
-  (:class:`~repro.inject.supervisor.LeaseHeartbeat`), and a lease whose
-  beats stop advancing for longer than the TTL is *expired* and may be
+* the lease carries a **TTL**: a holder proves liveness by sending
+  ``heartbeat`` messages with an advancing beat counter
+  (:class:`~repro.inject.worker.ShardWorker`), and a lease whose beats
+  stop advancing for longer than the TTL is *expired* and may be
   re-granted to a new holder (work stealing);
 * renewals and completions are only honored when they carry the
   *current* token of an *active* lease — anything else raises
@@ -55,7 +56,7 @@ class Lease:
     state: str = ACTIVE
     #: monotonic timestamp of the last observed liveness proof
     last_beat: float = field(default_factory=time.monotonic)
-    #: highest beat counter observed from the holder's heartbeat file
+    #: highest beat counter observed in the holder's heartbeat messages
     beat_count: int = 0
     #: why the lease left the ACTIVE state ("", or an expiry reason)
     reason: str = ""

@@ -37,102 +37,16 @@ campaign reaches final counts identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple, Union
 
 from repro.errors import InjectionError, ResourceExhausted
-from repro.inject.journal import atomic_write_text
 
 _MB = 1024 * 1024
-
-
-class LeaseHeartbeat:
-    """Background thread renewing one fabric lease by beating to a file.
-
-    A leased shard process proves liveness by atomically rewriting its
-    heartbeat file every ``interval_s`` with a monotonically increasing
-    beat counter, its fencing ``token``, and its pid.  The coordinator
-    reads the counter (not wall-clock mtimes, which lie across clock
-    steps) and expires the lease when it stops advancing for longer
-    than the lease TTL; a beat carrying a superseded token is ignored
-    outright, so a zombie holder can never keep its old lease alive.
-
-    Atomicity comes from write-to-temp + ``os.replace`` — the reader
-    sees either the previous beat or the new one, never a torn file.
-    Use as a context manager so the thread always stops::
-
-        with LeaseHeartbeat(path, token=3, interval_s=0.25):
-            ...  # run the shard's campaign
-    """
-
-    def __init__(self, path: str, token: int, interval_s: float = 0.25):
-        if interval_s <= 0:
-            raise InjectionError(
-                f"heartbeat interval_s must be positive, got {interval_s}")
-        self.path = path
-        self.token = token
-        self.interval_s = interval_s
-        self._beat = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def beats(self) -> int:
-        """Beats written so far (monotonically increasing)."""
-        return self._beat
-
-    def beat_once(self) -> None:
-        """Write one beat synchronously (also used by the loop)."""
-        self._beat += 1
-        payload = {"beat": self._beat, "token": self.token,
-                   "pid": os.getpid()}
-        # fsync=False: a beat lost to a crash is indistinguishable from
-        # a beat never written, and the next interval rewrites it — the
-        # durability tax would buy nothing.
-        atomic_write_text(self.path, json.dumps(payload, sort_keys=True),
-                          fsync=False)
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self.beat_once()
-            except OSError:
-                pass  # a vanished fabric dir must not kill the shard
-            self._stop.wait(self.interval_s)
-
-    def start(self) -> "LeaseHeartbeat":
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._loop, daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "LeaseHeartbeat":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def read_heartbeat(path: str) -> Optional[Dict[str, Any]]:
-    """The latest beat payload at ``path``, or None if absent/torn."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return payload if isinstance(payload, dict) else None
 
 
 @dataclass(frozen=True)
@@ -302,18 +216,6 @@ class CampaignSupervisor:
         self._drain.clear()
         self._drain_reason = ""
         self._drained_at = None
-
-    # -- lease heartbeats --------------------------------------------------
-
-    def lease_heartbeat(self, path: str, token: int,
-                        interval_s: float = 0.25) -> LeaseHeartbeat:
-        """A started :class:`LeaseHeartbeat` proving this shard's liveness.
-
-        The heartbeat keeps beating through a drain — liveness and
-        progress are different claims, and a draining shard must not be
-        mistaken for a dead one and have its lease stolen mid-pause.
-        """
-        return LeaseHeartbeat(path, token, interval_s).start()
 
     # -- signal hooks ------------------------------------------------------
 

@@ -7,11 +7,13 @@ assumes only at-least-once, possibly-reordered delivery.  This module
 provides the three concrete transports:
 
 * :class:`InProcessTransport` — queue-backed connections inside one
-  process (tests, the ``service=`` path of ``run_full_campaign``).
-  Messages still round-trip through the wire encoding, so in-process
-  runs exercise the exact frame codec the socket path uses.
+  process (the protocol tests).  Messages still round-trip through the
+  wire encoding, so in-process runs exercise the exact frame codec the
+  socket path uses.
 * :class:`UnixSocketListener` / :func:`unix_connect` — a Unix-domain
-  stream socket transport for workers attaching from other processes.
+  stream socket transport for workers attaching from other processes;
+  the local fabric's forked holders speak the same
+  :class:`_SocketConnection` over a ``socket.socketpair()``.
 * :class:`ChaosConnection` / :class:`ChaosDialer` — a seed-deterministic
   fault-injection wrapper that drops, duplicates, reorders, and delays
   messages, imposes one-way partitions, and severs connections, for
@@ -229,8 +231,8 @@ class InProcessTransport:
 
     The coordinator calls :meth:`accept`; each :meth:`connect` call
     manufactures a fresh connection pair and hands the server end to
-    the accept queue.  Used by the ``service=`` campaign path and by
-    every protocol test that does not need a real socket.
+    the accept queue.  Used by every protocol test that does not need
+    a real socket.
     """
 
     def __init__(self):

@@ -1,12 +1,13 @@
-"""Attachable shard worker for the network-attached campaign coordinator.
+"""Shard holders for the campaign coordinator.
 
-The service-mode counterpart of :func:`~repro.inject.fabric._shard_entry`:
-instead of being forked by the coordinator, a :class:`ShardWorker` *dials*
-a :mod:`repro.inject.transport` endpoint, attaches, and runs whatever
-shard it is granted under the existing supervised
-:class:`~repro.inject.engine.CampaignEngine` — same lease journal, same
-drain semantics, same durable records, which is what keeps the service
-deployment's merged report byte-identical to the local fabric's.
+A :class:`ShardWorker` *dials* a :mod:`repro.inject.transport` endpoint,
+attaches to the :class:`~repro.inject.coordinator.CoordinatorService`,
+and runs whatever shard it is granted under the supervised
+:class:`~repro.inject.engine.CampaignEngine` — one lease journal per
+grant, drained by the coordinator's ``drain`` messages.  Socket
+deployments start workers by hand; the local fabric's
+:class:`LocalHolders` listener forks one per planned shard over a
+``socket.socketpair()``.
 
 Chaos-hardening lives here, not in the engine:
 
@@ -28,19 +29,24 @@ Chaos-hardening lives here, not in the engine:
   journal) redoes no completed batch.
 
 The worker also leaves a durable trace of its connection history in the
-lease journal: a ``worker_attached`` record (with the dial attempt count
-that grant cost) before the engine starts, and a ``worker_detached``
-record (with cumulative reconnect attempts) after it stops.  Both are
-ignored by replay/rebase/merge — forensic, not load-bearing.
+lease journal: a ``worker_attached`` record (with its pid and the dial
+attempt count that grant cost) before the engine starts, and a
+``worker_detached`` record (with cumulative reconnect attempts) after it
+stops.  Both are ignored by replay/rebase/merge — forensic, not
+load-bearing.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
+import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import (FabricConfigError, FrameError, TransportClosed,
                           TransportError)
@@ -48,6 +54,7 @@ from repro.inject.coordinator import unwire_unit
 from repro.inject.engine import (CampaignEngine, EngineConfig, _retry_delay)
 from repro.inject.journal import Journal, JournalCursor
 from repro.inject.supervisor import CampaignSupervisor, SupervisorConfig
+from repro.inject.transport import Connection, _SocketConnection
 
 
 @dataclass
@@ -302,7 +309,7 @@ class ShardWorker:
         journal = Journal(journal_path, header=header)
         journal.append({"type": "worker_attached",
                         "worker": self.worker_id, "shard": shard,
-                        "token": token,
+                        "token": token, "pid": os.getpid(),
                         "attempts": self._last_connect_attempts})
         journal.close()
         state = {"drain": None, "lost": False, "stop": False}
@@ -496,3 +503,84 @@ class ShardWorker:
                     reply.get("re") == req:
                 return reply
         return None
+
+
+class LocalHolders:
+    """A listener that forks one :class:`ShardWorker` holder per shard.
+
+    The local fabric's transport.  Each holder is a forked process (so
+    it inherits registered unit kinds) talking to the coordinator over
+    a ``socket.socketpair()``, so no socket path is involved (``AF_UNIX``
+    paths cap at 108 bytes).  :meth:`accept` forks the holders on first
+    use, hands out their coordinator ends, reaps holders that exited,
+    and forks a replacement for each one that died abnormally.
+    :meth:`close` SIGKILLs the holders still alive: once the job is
+    served they only sit in ``wait`` sleeps or reconnect backoff.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        #: holder id -> forked holder process
+        self.processes: Dict[str, Any] = {}
+        self._forked = 0
+        self._coordinator_ends: List[socket.socket] = []
+        self._pending: Deque[Connection] = deque()
+
+    def _fork(self) -> None:
+        holder = f"holder-{self._forked:03d}"
+        ours, theirs = socket.socketpair()
+        self._coordinator_ends.append(ours)
+        process = multiprocessing.get_context("fork").Process(
+            target=_holder_main, name=holder,
+            args=(holder, theirs, list(self._coordinator_ends),
+                  self._forked))
+        process.start()
+        theirs.close()
+        self.processes[holder] = process
+        self._pending.append(_SocketConnection(ours))
+        self._forked += 1
+
+    def accept(self, timeout: Optional[float] = None
+               ) -> Optional[Connection]:
+        """The next holder's connection, or ``None`` (never blocks)."""
+        if not self._forked:
+            for _ in range(self.count):
+                self._fork()
+        for holder, process in list(self.processes.items()):
+            if process.is_alive():
+                continue
+            process.join()
+            del self.processes[holder]
+            if process.exitcode != 0:
+                self._fork()
+        return self._pending.popleft() if self._pending else None
+
+    def close(self) -> None:
+        for process in self.processes.values():
+            if process.is_alive():
+                process.kill()
+        for process in self.processes.values():
+            process.join()
+        self.processes.clear()
+        while self._pending:
+            self._pending.popleft().close()
+
+
+def _holder_main(holder: str, sock: socket.socket,
+                 coordinator_ends: List[socket.socket], seed: int) -> None:
+    """Forked holder: one :class:`ShardWorker` on its socketpair end."""
+    for end in coordinator_ends:
+        # close(), never shutdown(): shutdown acts on the socket the
+        # coordinator shares, and a coordinator end left open here
+        # would hide a dead coordinator's EOF from its holder
+        end.close()
+    connections = [_SocketConnection(sock)]
+
+    def dial() -> Connection:
+        if not connections:
+            raise TransportClosed(f"{holder} cannot redial a socketpair")
+        return connections.pop()
+
+    ShardWorker(dial, worker_id=holder,
+                config=WorkerConfig(seed=seed,
+                                    supervisor=SupervisorConfig())).run()

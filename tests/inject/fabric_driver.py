@@ -13,6 +13,8 @@ drivers pointed at different fabric dirs are same-seed twins.
 """
 
 import argparse
+import json
+import os
 import random
 import time
 
@@ -53,6 +55,23 @@ def toy_config(shards=4, lease_ttl_s=2.0, batch_size=20, max_batches=6,
                             max_batches=max_batches, ci_half_width=None,
                             timeout_s=None, backoff_s=0.01),
         **fabric_knobs)
+
+
+def granted_holders(fabric_dir):
+    """holder id -> shard, from the ``worker`` field of lease grants."""
+    path = os.path.join(fabric_dir, "coordinator.jsonl")
+    if not os.path.exists(path):
+        return {}
+    granted = {}
+    with open(path) as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # a line the coordinator is still writing
+            if record.get("type") == "lease_granted":
+                granted[record["worker"]] = record["shard"]
+    return granted
 
 
 def main(argv=None):

@@ -62,6 +62,18 @@ class TestRunFullCampaign:
         for name in units:
             assert sharded[name].to_dict() == single[name].to_dict()
 
+    def test_sharded_campaign_refuses_an_operand_trace(self, tmp_path):
+        # holders receive their units as messages, so a trace context
+        # cannot travel with them: a typed config error, not a silently
+        # synthetic-operand campaign
+        from repro.errors import FabricConfigError
+        from repro.inject.operands import OperandTrace
+        with pytest.raises(FabricConfigError, match="context"):
+            run_full_campaign(sample_count=10, site_count=10,
+                              units=("fxp-add-32",), shards=2,
+                              trace=OperandTrace(),
+                              fabric_dir=str(tmp_path / "fabric"))
+
     def test_sharded_campaign_requires_a_fabric_dir(self):
         with pytest.raises(InjectionError, match="fabric_dir"):
             run_full_campaign(sample_count=10, site_count=10,

@@ -16,7 +16,8 @@ from repro.inject.fabric import (CampaignFabric, FabricConfig,
                                  run_fabric_campaign)
 from repro.inject.merge import fabric_journal_paths
 
-from tests.inject.fabric_driver import toy_config, toy_units
+from tests.inject.fabric_driver import (granted_holders, toy_config,
+                                        toy_units)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -50,15 +51,16 @@ def _run_in_thread(fabric):
     return thread, result
 
 
-def _first_shard_process(fabric, deadline_s=30.0):
-    """Wait until some shard process is running and return (shard, proc)."""
+def _leased_holder_process(fabric, deadline_s=30.0):
+    """Wait until a live holder holds a lease; return (shard, process)."""
     deadline = time.time() + deadline_s
     while time.time() < deadline:
-        for shard, process in sorted(fabric.processes.items()):
-            if process.pid is not None and process.is_alive():
-                return shard, process
+        granted = granted_holders(fabric.fabric_dir)
+        for holder, process in sorted(fabric.processes.items()):
+            if holder in granted and process.is_alive():
+                return granted[holder], process
         time.sleep(0.01)
-    raise AssertionError("no shard process appeared")
+    raise AssertionError("no holder was granted a lease")
 
 
 class TestFabricBasics:
@@ -167,7 +169,7 @@ class TestChaos:
         chaos_dir = str(tmp_path / "chaos")
         fabric = CampaignFabric(units, chaos_dir, config)
         thread, result = _run_in_thread(fabric)
-        victim, process = _first_shard_process(fabric)
+        victim, process = _leased_holder_process(fabric)
         time.sleep(0.3)  # let it journal a batch or two first
         os.kill(process.pid, signal.SIGKILL)
         thread.join(120)
@@ -183,6 +185,34 @@ class TestChaos:
         assert any(record["shard"] == victim for record in expiries)
         assert _merged_bytes(chaos_dir) == _merged_bytes(undisturbed_dir)
 
+    def test_sole_holder_sigkill_is_replaced_and_byte_identical(
+            self, tmp_path):
+        """A 1-shard fabric has no other holder to steal the lease: the
+        listener must fork a replacement, which takes the expired lease
+        as lease-002 and finishes byte-identical to an undisturbed run."""
+        config = toy_config(shards=1, lease_ttl_s=1.0, batch_size=10,
+                            max_batches=4)
+        undisturbed_dir = str(tmp_path / "undisturbed")
+        run_fabric_campaign(toy_units(2, delay=0.05), undisturbed_dir,
+                            config)
+
+        chaos_dir = str(tmp_path / "chaos")
+        fabric = CampaignFabric(toy_units(2, delay=0.05), chaos_dir,
+                                config)
+        thread, result = _run_in_thread(fabric)
+        shard, process = _leased_holder_process(fabric)
+        time.sleep(0.15)  # let it journal a batch or two first
+        os.kill(process.pid, signal.SIGKILL)
+        thread.join(120)
+        assert "error" not in result, result.get("error")
+        assert result["report"].shard_status == {shard: "completed"}
+        assert os.path.exists(
+            os.path.join(chaos_dir, f"{shard}.lease-002.jsonl"))
+        kinds = [record["type"]
+                 for record in _coordinator_records(chaos_dir)]
+        assert "lease_expired" in kinds
+        assert _merged_bytes(chaos_dir) == _merged_bytes(undisturbed_dir)
+
     def test_lost_lease_with_steal_disabled_fails_the_fabric(
             self, tmp_path):
         fabric = CampaignFabric(
@@ -190,7 +220,7 @@ class TestChaos:
             toy_config(shards=2, lease_ttl_s=1.0, steal=False,
                        max_batches=4))
         thread, result = _run_in_thread(fabric)
-        __, process = _first_shard_process(fabric)
+        __, process = _leased_holder_process(fabric)
         os.kill(process.pid, signal.SIGKILL)
         thread.join(60)
         assert isinstance(result.get("error"), FabricError)
@@ -228,14 +258,12 @@ class TestChaos:
         config = toy_config(shards=2, batch_size=10, max_batches=6)
         fabric = CampaignFabric(units, fabric_dir, config)
         thread, result = _run_in_thread(fabric)
-        _first_shard_process(fabric)
+        _leased_holder_process(fabric)
         fabric.request_drain("test interruption")
         thread.join(60)
         assert "error" not in result, result.get("error")
         assert result["report"].paused
-        # resuming against the same dir finishes the remaining work —
-        # but only after the drain broadcast is lifted
-        os.remove(os.path.join(fabric_dir, "drain"))
+        # resuming against the same dir finishes the remaining work
         resumed = run_fabric_campaign(units, fabric_dir, config)
         assert not resumed.paused
         assert set(resumed.shard_status.values()) == {"completed"}
@@ -272,19 +300,21 @@ class TestCoordinatorCrash:
             time.sleep(0.05)
         raise AssertionError("fabric made no journal progress")
 
-    def _shard_pid(self, fabric_dir, deadline_s=60.0):
+    def _holder_pid(self, fabric_dir, deadline_s=60.0):
+        """A holder's pid, from a lease journal's worker_attached record."""
         deadline = time.time() + deadline_s
         while time.time() < deadline:
-            for name in sorted(os.listdir(fabric_dir)):
-                if not name.endswith(".heartbeat"):
-                    continue
-                try:
-                    with open(os.path.join(fabric_dir, name)) as handle:
-                        return json.load(handle)["pid"]
-                except (OSError, ValueError, KeyError):
-                    continue
+            for path in fabric_journal_paths(fabric_dir):
+                with open(path) as handle:
+                    for line in handle:
+                        try:
+                            record = json.loads(line)
+                        except ValueError:
+                            continue
+                        if record.get("type") == "worker_attached":
+                            return record["pid"]
             time.sleep(0.05)
-        raise AssertionError("no shard heartbeat appeared")
+        raise AssertionError("no holder attached")
 
     def test_sigkilled_shard_and_coordinator_resume_byte_identical(
             self, tmp_path):
@@ -297,7 +327,7 @@ class TestCoordinatorCrash:
         coordinator = self._driver(chaos_dir, seed)
         try:
             self._wait_for_progress(chaos_dir)
-            os.kill(self._shard_pid(chaos_dir), signal.SIGKILL)
+            os.kill(self._holder_pid(chaos_dir), signal.SIGKILL)
             time.sleep(0.5)  # let the kill land mid-lease
             coordinator.kill()
             coordinator.wait(60)

@@ -1,15 +1,12 @@
-"""Tests for lease lifecycle, fencing tokens, heartbeats, and rebase."""
+"""Tests for lease lifecycle, fencing tokens, replay, and rebase."""
 
 import json
-import os
-import time
 
 import pytest
 
 from repro.errors import FabricError, LeaseExpired, StaleFencingToken
 from repro.inject.journal import Journal, JournalState
 from repro.inject.lease import LeaseTable, rebase_journal
-from repro.inject.supervisor import LeaseHeartbeat, read_heartbeat
 
 
 class TestLeaseTable:
@@ -107,42 +104,6 @@ class TestReplay:
         lease = table.current("shard-000")
         assert not lease.active and lease.reason == "paused"
         assert table.grant("shard-000").token == 2
-
-
-class TestLeaseHeartbeat:
-    def test_beats_advance_and_carry_the_token(self, tmp_path):
-        path = str(tmp_path / "hb")
-        with LeaseHeartbeat(path, token=7, interval_s=0.02):
-            deadline = time.time() + 5.0
-            while time.time() < deadline:
-                beat = read_heartbeat(path)
-                if beat is not None and beat["beat"] >= 3:
-                    break
-                time.sleep(0.01)
-        beat = read_heartbeat(path)
-        assert beat["token"] == 7
-        assert beat["beat"] >= 3
-        assert beat["pid"] == os.getpid()
-
-    def test_missing_or_garbage_heartbeat_reads_none(self, tmp_path):
-        assert read_heartbeat(str(tmp_path / "absent")) is None
-        garbled = tmp_path / "garbled"
-        garbled.write_text("not json{")
-        assert read_heartbeat(str(garbled)) is None
-
-    def test_vanished_directory_does_not_kill_the_holder(self, tmp_path):
-        fabric = tmp_path / "fabric"
-        fabric.mkdir()
-        beat = LeaseHeartbeat(str(fabric / "hb"), token=1, interval_s=0.01)
-        beat.start()
-        try:
-            (fabric / "hb").unlink(missing_ok=True)
-            for item in fabric.iterdir():
-                item.unlink()
-            fabric.rmdir()
-            time.sleep(0.05)  # loop keeps running through OSErrors
-        finally:
-            beat.stop()
 
 
 class TestRebase:

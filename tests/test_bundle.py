@@ -153,11 +153,11 @@ class TestMergeReplay:
 
 class TestFabricLeaseBundle:
     def test_sigkilled_lease_exports_verifiable_bundle(self, tmp_path):
-        """SIGKILL a shard mid-lease with stealing off: the fabric's
+        """SIGKILL a holder mid-lease with stealing off: the fabric's
         terminal FabricError exports a journal-verify bundle whose
         replay re-digests the bundled lease journals."""
         from tests.inject.fabric_driver import toy_config, toy_units
-        from tests.inject.test_fabric import (_first_shard_process,
+        from tests.inject.test_fabric import (_leased_holder_process,
                                               _run_in_thread)
         from repro.inject.fabric import CampaignFabric
 
@@ -167,7 +167,7 @@ class TestFabricLeaseBundle:
             toy_config(shards=2, lease_ttl_s=1.0, steal=False,
                        max_batches=4, bundle_dir=bundle_dir))
         thread, result = _run_in_thread(fabric)
-        __, process = _first_shard_process(fabric)
+        __, process = _leased_holder_process(fabric)
         time.sleep(0.3)  # let the victim journal something durable
         os.kill(process.pid, signal.SIGKILL)
         thread.join(60)

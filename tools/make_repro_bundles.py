@@ -5,7 +5,7 @@ Drives three real failures end to end and lets each one's capture hook
 export a deterministic repro bundle:
 
 1. **SIGKILL mid-lease** — a sharded toy campaign with work stealing
-   disabled loses a shard to ``SIGKILL``; the terminal
+   disabled loses a leased holder to ``SIGKILL``; the terminal
    :class:`~repro.errors.FabricError` exports a ``journal-verify``
    bundle freezing the victim's durable lease journals.
 2. **Tampered scheme certification** — the fast certifier runs a
@@ -40,7 +40,8 @@ import time
 def make_lease_bundle(out_dir: str) -> None:
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
-    from tests.inject.fabric_driver import toy_config, toy_units
+    from tests.inject.fabric_driver import (granted_holders, toy_config,
+                                            toy_units)
 
     from repro.errors import FabricError
     from repro.inject.fabric import CampaignFabric
@@ -63,13 +64,14 @@ def make_lease_bundle(out_dir: str) -> None:
         deadline = time.time() + 30
         victim = None
         while time.time() < deadline and victim is None:
-            for _, process in sorted(fabric.processes.items()):
-                if process.pid is not None and process.is_alive():
+            granted = granted_holders(fabric.fabric_dir)
+            for holder, process in sorted(fabric.processes.items()):
+                if holder in granted and process.is_alive():
                     victim = process
                     break
             time.sleep(0.01)
         if victim is None:
-            raise SystemExit("no shard process appeared to SIGKILL")
+            raise SystemExit("no leased holder appeared to SIGKILL")
         time.sleep(0.3)  # let it journal something durable first
         os.kill(victim.pid, signal.SIGKILL)
         thread.join(60)
