@@ -14,9 +14,7 @@ With ``--cache-dir`` the sweeps route through the crash-safe
 :class:`~repro.certify.store.CertificateStore`: unchanged schemes are
 served from verified cache entries (no strike re-enumerated), drifted
 schemes recertify incrementally, and the summary reports hit/miss/
-stale-served counters.  ``--serve SOCKET`` turns the process into a
-long-running certification service on a Unix socket speaking the
-campaign frame protocol; ``--strict`` refuses degraded (stale)
+stale-served counters; ``--strict`` refuses degraded (stale)
 certificates instead of serving them marked.
 
 Exit status is the number of schemes whose certificate failed, so the
@@ -26,8 +24,6 @@ script doubles as a CI gate::
     python examples/certify_schemes.py --full --out artifacts/
     python examples/certify_schemes.py --scheme secded-dp --scheme mod7
     python examples/certify_schemes.py --cache-dir .cert-cache
-    python examples/certify_schemes.py --cache-dir .cert-cache \\
-        --serve /tmp/certd.sock
 """
 
 import argparse
@@ -57,12 +53,9 @@ def parse_args():
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="serve certificates from this crash-safe "
                              "store, sweeping only on miss or drift")
-    parser.add_argument("--serve", default=None, metavar="SOCKET",
-                        help="run as a certification service on this "
-                             "Unix socket path (requires --cache-dir)")
     parser.add_argument("--strict", action="store_true",
                         help="refuse stale certificates instead of "
-                             "serving them marked (cache/serve modes)")
+                             "serving them marked (with --cache-dir)")
     return parser.parse_args()
 
 
@@ -140,39 +133,9 @@ def certify_cached(names, mode, args, registry):
     return failed
 
 
-def run_service(mode, args):
-    """Block serving certify requests on a Unix socket until shutdown."""
-    from repro.certify import CertificateService, CertificateStore
-    from repro.inject.transport import UnixSocketListener
-
-    store = CertificateStore(args.cache_dir)
-    service = CertificateService(store, mode=mode, seed=args.seed,
-                                 strict=args.strict)
-    listener = UnixSocketListener(args.serve)
-    print(f"certificate service on {args.serve} "
-          f"(mode={mode}, seed={args.seed}, strict={args.strict})")
-    try:
-        service.serve(listener)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        listener.close()
-    stats = service.stats()
-    print(f"served: {stats['hits']} hit(s), {stats['misses']} miss(es), "
-          f"{stats['incremental']} incremental, "
-          f"{stats['stale_served']} stale-served, "
-          f"{stats['refusals']} refusal(s)")
-    return 0
-
-
 def main():
     args = parse_args()
     mode = "full" if args.full else "fast"
-    if args.serve and not args.cache_dir:
-        print("--serve requires --cache-dir")
-        return 2
-    if args.serve:
-        return run_service(mode, args)
     registry = certification_registry()
     names = args.schemes or list(registry)
     unknown = [name for name in names if name not in registry]

@@ -4,8 +4,8 @@
 The service deployment of the distributed injection fabric.  One
 process *listens* on a Unix socket and coordinates the Figure 10
 gate-level campaign as leased shards; any number of worker processes
-*attach* to that socket, lease shards, stream progress, and complete
-them.  All durable state (coordinator journal, per-lease shard
+*attach* to that socket, lease shards, journal their batches, and
+complete them.  All durable state (coordinator journal, per-lease shard
 journals, ``merged_report.json``) is identical to the local fabric of
 ``examples/injection_campaign.py --shards N``, which runs the same
 coordinator with forked holders — byte-identical merged reports, and
@@ -15,6 +15,11 @@ Coordinator::
 
     python examples/fabric_service.py --listen /tmp/fab.sock \
         --fabric-dir /tmp/fab --shards 3 [samples] [sites]
+
+The coordinator narrates its own journal: every record it appends to
+``coordinator.jsonl`` (plan, lease grants, expiries, completions,
+global stop) is printed as it lands, read back through a
+:class:`~repro.inject.journal.JournalCursor`.
 
 Workers (as many as you like, from other terminals)::
 
@@ -36,12 +41,14 @@ worker wrote — no redone work, no double counts.
 """
 
 import argparse
+import os
 import sys
 import threading
 
 from repro.inject.coordinator import CoordinatorService
 from repro.inject.engine import EngineConfig, gate_work_unit
-from repro.inject.fabric import FabricConfig
+from repro.inject.fabric import COORDINATOR_JOURNAL, FabricConfig
+from repro.inject.journal import JournalCursor
 from repro.inject.transport import (ChaosConfig, ChaosDialer,
                                     UnixSocketListener, unix_connect)
 from repro.inject.worker import ShardWorker, WorkerConfig
@@ -104,14 +111,23 @@ def run_coordinator(args) -> int:
     listener = UnixSocketListener(args.listen)
     service = CoordinatorService(args.fabric_dir, config=config,
                                  listener=listener)
-    job = service.submit(units)
+    service.submit(units)
+    served = threading.Event()
 
     def narrate():
-        for event in job.events():
-            kind = event.pop("event")
-            detail = " ".join(f"{key}={value}"
-                              for key, value in sorted(event.items()))
-            print(f"[{kind}] {detail}", flush=True)
+        cursor = JournalCursor(os.path.join(args.fabric_dir,
+                                            COORDINATOR_JOURNAL))
+        while True:
+            final = served.is_set()  # one last poll after serve returns
+            for record in cursor.poll():
+                kind = record.pop("type")
+                record.pop("rix", None)
+                detail = " ".join(f"{key}={value}"
+                                  for key, value in sorted(record.items()))
+                print(f"[{kind}] {detail}", flush=True)
+            if final:
+                return
+            served.wait(0.2)
 
     printer = threading.Thread(target=narrate, daemon=True)
     printer.start()
@@ -119,7 +135,8 @@ def run_coordinator(args) -> int:
         report = service.serve()
     finally:
         listener.close()
-    printer.join(timeout=5.0)
+        served.set()
+        printer.join(timeout=5.0)
     print(f"SERVICE_DONE paused={report.paused} "
           f"stopped_globally={report.stopped_globally} "
           f"merged={report.merged_report_path}")

@@ -26,8 +26,7 @@ from repro.bundle.capture import (BUNDLE_KIND, BUNDLE_SCHEMA_VERSION,
                                   JOURNAL_SLICE_FILE, MANIFEST_NAME,
                                   SCHEME_FILE, WORKLOAD_FILE, ReproBundle,
                                   capture_bundle, certificate_outcome,
-                                  error_outcome, outcome_fingerprint,
-                                  protocol_outcome)
+                                  error_outcome, outcome_fingerprint)
 from repro.bundle.replay import (DIVERGED, REPRODUCED, STALE_SCHEMA,
                                  TRIAL_KINDS, ReplayResult, journal_digest,
                                  merge_outcome, replay)
@@ -39,5 +38,5 @@ __all__ = [
     "SCHEME_FILE", "STALE_SCHEMA", "TRIAL_KINDS", "WORKLOAD_FILE",
     "capture_bundle", "certificate_outcome", "error_outcome",
     "journal_digest", "merge_outcome", "outcome_fingerprint",
-    "protocol_outcome", "replay",
+    "replay",
 ]

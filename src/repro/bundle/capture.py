@@ -123,25 +123,6 @@ def certificate_outcome(certificate: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-def protocol_outcome(error: Any,
-                     message: Optional[Mapping[str, Any]] = None,
-                     expected: Optional[Mapping[str, Any]] = None
-                     ) -> Dict[str, Any]:
-    """The canonical outcome dict for a coordinator protocol conflict.
-
-    ``message`` is the offending wire message (already canonical JSON on
-    arrival) and ``expected`` what the coordinator's state said it had
-    to be — e.g. the previously recorded progress fingerprint for the
-    same ``(unit, batch index)``.  Both are frozen into the outcome so
-    the bundle's fingerprint pins the *exact* contradiction, not just
-    the error text.
-    """
-    outcome = error_outcome(error)
-    outcome["message"] = dict(message) if message is not None else None
-    outcome["expected"] = dict(expected) if expected is not None else None
-    return outcome
-
-
 def _error_record(error: Any) -> Dict[str, Any]:
     if isinstance(error, ReproError):
         return error.to_record()

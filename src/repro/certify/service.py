@@ -1,4 +1,4 @@
-"""Certification-as-a-service over the campaign transport fabric.
+"""Certification as a service: the store first, a sweep when needed.
 
 :class:`CertificateService` answers "is this scheme certified under
 this fault model?" from the :class:`~repro.certify.store.CertificateStore`
@@ -22,25 +22,19 @@ when it can and from a supervised certify sweep when it must:
   turns that into a typed :class:`~repro.errors.StaleCertificate`
   refusal instead (strict callers then wait on the lock).
 
-The service also speaks the campaign frame protocol
-(:mod:`repro.inject.transport`): :meth:`serve` accepts connections from
-any listener — :class:`~repro.inject.transport.InProcessTransport`,
-:class:`~repro.inject.transport.UnixSocketListener`, or a chaos-wrapped
-dialer on the client side — and answers ``certify`` / ``stats`` /
-``shutdown`` messages with ``certificate`` / ``refusal`` / ``error``
-replies, so remote clients get the same typed degradation story local
-callers do.
+The store is the only record: processes that want a certificate call
+:meth:`CertificateService.lookup` against a shared cache dir, and the
+store's per-key lock keeps their sweeps single-flight.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
-from repro.errors import (CertificationError, CertStoreError, FrameError,
-                          ReproError, StaleCertificate, TransportClosed)
+from repro.errors import (CertificationError, CertStoreError,
+                          StaleCertificate)
 from repro.certify.claims import claim_matrix
 from repro.certify.engine import certification_registry
 from repro.certify.store import (CertificateStore, build_cache_payload,
@@ -65,23 +59,14 @@ class ServedCertificate:
     cache: str
     staleness: Optional[Dict[str, Any]] = None
 
-    def to_message(self) -> Dict[str, Any]:
-        body: Dict[str, Any] = {"kind": "certificate", "key": self.key,
-                                "cache": self.cache,
-                                "payload": self.payload}
-        if self.staleness is not None:
-            body["staleness"] = self.staleness
-        return body
-
 
 class CertificateService:
     """Serve certificates from the store, sweeping only when needed.
 
-    One instance is safe to share across threads (the transport loop
-    spawns a thread per connection); cross-*process* single-flight is
-    the store's fcntl key lock.  ``engine_config`` overrides the sweep
-    engine knobs — statistical knobs must stay fixed across the life of
-    a cache dir, since resumed sweep journals pin them.
+    Cross-process single-flight is the store's fcntl key lock.
+    ``engine_config`` overrides the sweep engine knobs — statistical
+    knobs must stay fixed across the life of a cache dir, since resumed
+    sweep journals pin them.
     """
 
     def __init__(self, store: CertificateStore, mode: str = "fast",
@@ -97,18 +82,15 @@ class CertificateService:
         self._engine_config = engine_config
         self._registry = dict(registry) if registry is not None \
             else certification_registry()
-        self._counter_lock = threading.Lock()
         self.counters: Dict[str, int] = {
             "hits": 0, "misses": 0, "incremental": 0, "stale_served": 0,
             "refusals": 0, "sweeps": 0}
 
     def _count(self, name: str) -> None:
-        with self._counter_lock:
-            self.counters[name] += 1
+        self.counters[name] += 1
 
     def stats(self) -> Dict[str, int]:
-        with self._counter_lock:
-            merged = dict(self.counters)
+        merged = dict(self.counters)
         merged["quarantined"] = self.store.counters["quarantined"]
         return merged
 
@@ -261,90 +243,3 @@ class CertificateService:
                 context={"scheme": scheme_name, "key": key,
                          "status": unit_report.status})
         return unit_report.payloads[-1]
-
-    # -- the transport loop ------------------------------------------------
-
-    def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Answer one protocol message (also the unit-test seam).
-
-        ``certify`` serves a certificate (honoring a per-request
-        ``strict`` override); typed errors come back as ``refusal``
-        (recoverable degradation, e.g. strict-mode staleness) or
-        ``error`` (everything else), both carrying the full
-        ``error.to_record()`` so remote callers keep the taxonomy.
-        """
-        kind = message.get("kind")
-        if kind == "certify":
-            scheme_name = message.get("scheme")
-            strict = message.get("strict")
-            try:
-                served = self.lookup(scheme_name,
-                                     strict=None if strict is None
-                                     else bool(strict))
-            except StaleCertificate as exc:
-                return {"kind": "refusal", "scheme": scheme_name,
-                        "error": exc.to_record()}
-            except ReproError as exc:
-                return {"kind": "error", "scheme": scheme_name,
-                        "error": exc.to_record()}
-            return served.to_message()
-        if kind == "stats":
-            return {"kind": "stats", "counters": self.stats()}
-        if kind == "shutdown":
-            return {"kind": "bye"}
-        return {"kind": "error",
-                "error": {"code": "certify.store",
-                          "message": f"unknown message kind {kind!r}"}}
-
-    def serve(self, listener: Any,
-              stop: Optional[threading.Event] = None,
-              poll_s: float = 0.2) -> None:
-        """Accept and answer connections until ``stop`` (or shutdown).
-
-        Works with any listener exposing ``accept(timeout)`` —
-        in-process, Unix socket, or a chaos-wrapped transport.  Each
-        connection gets its own thread; a ``shutdown`` message stops
-        the whole loop after answering.
-        """
-        stop = stop if stop is not None else threading.Event()
-        workers = []
-        try:
-            while not stop.is_set():
-                try:
-                    connection = listener.accept(timeout=poll_s)
-                except TransportClosed:
-                    break
-                if connection is None:
-                    continue
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(connection, stop), daemon=True)
-                thread.start()
-                workers.append(thread)
-        finally:
-            for thread in workers:
-                thread.join(timeout=5.0)
-
-    def _serve_connection(self, connection: Any,
-                          stop: threading.Event) -> None:
-        try:
-            while not stop.is_set():
-                try:
-                    message = connection.recv(timeout=0.2)
-                except (TransportClosed, FrameError):
-                    return
-                if message is None:
-                    continue
-                response = self.handle(message)
-                try:
-                    connection.send(response)
-                except TransportClosed:
-                    return
-                if message.get("kind") == "shutdown":
-                    stop.set()
-                    return
-        finally:
-            try:
-                connection.close()
-            except Exception:
-                pass

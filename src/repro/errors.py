@@ -613,20 +613,3 @@ class FrameError(TransportError):
     code = "transport.bad_frame"
     severity = "transient"
     recoverable = True
-
-
-class ProtocolError(FabricError):
-    """A peer spoke the coordinator protocol inconsistently.
-
-    Raised (and exported as a repro bundle) when a message contradicts
-    the protocol's idempotence contract — e.g. two progress messages for
-    the same ``(unit, batch index)`` carrying different counts, or a
-    grant acceptance for a shard the coordinator never planned.  Unlike
-    a stale token (an expected race, acknowledged-and-dropped), this
-    means some peer is corrupting state: ``fatal``, stop trusting the
-    conflicting shard's stream.
-    """
-
-    code = "coordinator.protocol"
-    severity = "fatal"
-    recoverable = False

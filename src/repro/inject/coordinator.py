@@ -3,7 +3,7 @@
 :class:`CoordinatorService` is the fabric's one coordinator.  It
 listens on a :mod:`repro.inject.transport` endpoint, and
 :class:`~repro.inject.worker.ShardWorker` holders *attach* over
-message-framed connections, lease shards, stream progress, and complete
+message-framed connections, lease shards, heartbeat, and complete
 them.  The coordinator owns everything durable: ``coordinator.jsonl``
 (plan, lease transitions, global stop), the per-lease shard journals it
 rebases on every grant, and the salvage-aware deterministic merge.  The
@@ -12,10 +12,18 @@ a listener that forks its holders; the socket deployment
 (``examples/fabric_service.py``) lets them attach from other processes.
 Both produce the same ``fabric_dir`` and the same merged bytes.
 
+**The journals are the only record of progress.**  Holders and the
+coordinator share one host, so the coordinator tails every lease
+journal itself (:class:`~repro.inject.journal.JournalCursor`) into the
+global Wilson estimator, deduped by ``(unit, batch index)``; the frame
+protocol carries lease control only.  Divergent batch counts surface
+where every holder's journal meets: the merge raises
+:class:`~repro.errors.MergeConflict`, bundled before it propagates.
+
 **The protocol is idempotent under at-least-once delivery.**  The
 transport may drop, duplicate, reorder, or delay any frame (that is
-exactly what :class:`~repro.inject.transport.ChaosTransport` does in the
-tests), so every message is safe to re-deliver:
+exactly what :class:`~repro.inject.transport.ChaosConnection` does in
+the tests), so every message is safe to re-deliver:
 
 * every worker request carries a ``req`` nonce; replies echo it in
   ``re`` so a worker can discard stale replies after a resend;
@@ -28,35 +36,23 @@ tests), so every message is safe to re-deliver:
   lease re-sends the *same* grant (no token bump — the reply, not the
   request, was lost);
 * a duplicated ``complete`` for an already-completed lease is
-  acknowledged and dropped;
-* ``progress`` events are absorbed into the global Wilson estimator
-  keyed by ``(unit, batch index)`` — the same dedup the merge applies —
-  so replays never double-count.
+  acknowledged and dropped.
 
 Message kinds (worker → coordinator): ``attach``, ``reattach``,
-``heartbeat``, ``progress``, ``complete``, ``goodbye``.  Coordinator →
-worker: ``grant``, ``wait``, ``done``, ``drain``, ``ok``, ``reject``.
-
-A ``progress`` frame also carries a batch *fingerprint*; if two holders
-ever report conflicting counts for the same ``(unit, index)`` the
-coordinator raises :class:`~repro.errors.ProtocolError`, exports the
-offending frame as a repro bundle, and keeps serving — the terminal
-merge (which would raise the same conflict from the journals) stays the
-authority on counts.
+``heartbeat``, ``complete``, ``goodbye``.  Coordinator → worker:
+``grant``, ``wait``, ``done``, ``drain``, ``ok``, ``reject``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import queue
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (FabricConfigError, FabricError, MergeConflict,
-                          ProtocolError, StaleFencingToken, LeaseExpired,
-                          TransportClosed, FrameError)
+                          StaleFencingToken, LeaseExpired, TransportClosed,
+                          FrameError)
 from repro.inject.engine import WilsonEstimate, WorkUnit, wilson_interval
 from repro.inject.fabric import (COORDINATOR_JOURNAL, MERGED_REPORT,
                                  FabricConfig, FabricReport, build_plan,
@@ -88,20 +84,6 @@ def unwire_unit(encoded: Dict[str, Any]) -> WorkUnit:
     """Decode a grant frame's work unit."""
     return WorkUnit(unit_id=encoded["unit_id"], kind=encoded["kind"],
                     params=dict(encoded.get("params") or {}), context=None)
-
-
-def batch_fingerprint(record: Dict[str, Any]) -> str:
-    """The canonical identity of one batch record's counts.
-
-    Batches are pure functions of ``(unit params, batch index)``, so two
-    honest holders always produce the same fingerprint for the same key;
-    a mismatch is evidence of divergent execution, not chaos.
-    """
-    return json.dumps(
-        {"trials": record.get("trials"),
-         "successes": record.get("successes"),
-         "counts": record.get("counts")},
-        sort_keys=True, separators=(",", ":"))
 
 
 class _GlobalEstimator:
@@ -150,52 +132,6 @@ class _Attachment:
         self.granted: Optional[Tuple[str, int]] = None
 
 
-class JobHandle:
-    """A submitted job: a live event stream plus the eventual report.
-
-    Events are plain dicts with an ``event`` key (``job_started``,
-    ``lease_granted``, ``progress``, ``lease_expired``,
-    ``lease_completed``, ``lease_paused``, ``lease_rejected``,
-    ``protocol_conflict``, ``worker_reattached``, ``drain``,
-    ``global_stop``, ``job_done``, ``job_failed``) — the observable
-    per-shard progress stream the CLI renders.
-    """
-
-    _TERMINAL = ("job_done", "job_failed")
-
-    def __init__(self, service: "CoordinatorService"):
-        self._service = service
-        self._queue: "queue.Queue[Dict[str, Any]]" = queue.Queue()
-
-    def _push(self, event: Dict[str, Any]) -> None:
-        self._queue.put(event)
-
-    def events(self, timeout: Optional[float] = None):
-        """Yield events until the job ends (or ``timeout`` of silence)."""
-        while True:
-            try:
-                event = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                return
-            yield event
-            if event.get("event") in self._TERMINAL:
-                return
-
-    def drain_events(self) -> List[Dict[str, Any]]:
-        """Every event queued so far, without blocking."""
-        drained: List[Dict[str, Any]] = []
-        while True:
-            try:
-                drained.append(self._queue.get_nowait())
-            except queue.Empty:
-                return drained
-
-    @property
-    def result(self) -> Optional[FabricReport]:
-        """The merged report once :meth:`CoordinatorService.serve` returns."""
-        return self._service._result
-
-
 class CoordinatorService:
     """Job-oriented coordinator for holders attaching over a transport.
 
@@ -217,23 +153,19 @@ class CoordinatorService:
         self._attachments: List[_Attachment] = []
         self._cursors: Dict[str, JournalCursor] = {}
         self._paused_shards: Set[str] = set()
-        self._fingerprints: Dict[Tuple[str, int], str] = {}
         self._estimator = _GlobalEstimator(
             self.config.global_ci_half_width,
             self.config.global_min_trials, self.config.z)
         self._stopped_globally = False
         self._drain_reason = ""
         self._drain_requested: Optional[str] = None
-        self._drain_announced = False
         self._journal: Optional[Journal] = None
-        self._job: Optional[JobHandle] = None
-        self._result: Optional[FabricReport] = None
 
     # -- job API -----------------------------------------------------------
 
-    def submit(self, units: Sequence[WorkUnit]) -> JobHandle:
+    def submit(self, units: Sequence[WorkUnit]) -> None:
         """Plan a campaign as this service's job (one job per service)."""
-        if self._job is not None:
+        if self.plan:
             raise FabricConfigError(
                 "coordinator service already has a submitted job; "
                 "start a fresh service per job")
@@ -245,8 +177,6 @@ class CoordinatorService:
                     f"holders over the transport, so units must be "
                     f"context-free (context=None)")
         self.plan = build_plan(units, self.config)
-        self._job = JobHandle(self)
-        return self._job
 
     def request_drain(self, reason: str = "drain requested") -> None:
         """Ask the serve loop to drain the fleet (thread-safe)."""
@@ -257,10 +187,6 @@ class CoordinatorService:
 
     def _path(self, name: str) -> str:
         return os.path.join(self.fabric_dir, name)
-
-    def _emit(self, event: str, **fields: Any) -> None:
-        if self._job is not None:
-            self._job._push({"event": event, **fields})
 
     def _watch(self, journal_path: str) -> None:
         if journal_path not in self._cursors:
@@ -275,32 +201,24 @@ class CoordinatorService:
 
     def serve(self) -> FabricReport:
         """Serve the submitted job to attaching workers, then merge."""
-        if self._job is None:
+        if not self.plan:
             raise FabricConfigError(
                 "no job submitted; call submit(units) before serve()")
         os.makedirs(self.fabric_dir, exist_ok=True)
         self._journal = Journal(self._path(COORDINATOR_JOURNAL),
                                 salvage=True,
                                 header={"role": "fabric-coordinator"})
+        farewell = "coordinator stopped"
         try:
             self._replay()
             for path in fabric_journal_paths(self.fabric_dir):
                 self._watch(path)
-            self._emit("job_started", shards=sorted(self.plan),
-                       mode=self.config.mode)
             self._loop()
             report = self._merge()
-            self._result = report
-            self._emit("job_done", paused=report.paused,
-                       stopped_globally=report.stopped_globally,
-                       shard_status=dict(report.shard_status))
+            farewell = "job finished"
             return report
-        except BaseException as exc:
-            self._emit("job_failed", error=str(exc),
-                       code=getattr(exc, "code", None))
-            raise
         finally:
-            self._farewell()
+            self._farewell(farewell)
             self._journal.close()
             self._journal = None
 
@@ -441,10 +359,8 @@ class CoordinatorService:
             self._tick_estimator()
             time.sleep(self.config.poll_interval_s)
 
-    def _farewell(self) -> None:
+    def _farewell(self, reason: str) -> None:
         """Best-effort goodbye so attached workers exit promptly."""
-        reason = "job finished" if self._result is not None \
-            else "coordinator stopped"
         for att in list(self._attachments):
             try:
                 att.conn.send({"type": "done", "reason": reason})
@@ -511,8 +427,6 @@ class CoordinatorService:
             self._handle_reattach(att, message)
         elif kind == "heartbeat":
             self._handle_heartbeat(att, message)
-        elif kind == "progress":
-            self._handle_progress(att, message)
         elif kind == "complete":
             self._handle_complete(att, message)
         elif kind == "goodbye":
@@ -600,8 +514,6 @@ class CoordinatorService:
                                            len(self.plan)))
         self._watch(journal_path)
         att.granted = (shard, lease.token)
-        self._emit("lease_granted", shard=shard, token=lease.token,
-                   worker=att.worker)
         self._send(att, self._grant_message(shard, lease.token, req))
 
     def _handle_reattach(self, att: _Attachment,
@@ -629,8 +541,6 @@ class CoordinatorService:
         if self._drain_reason:
             self._send(att, {"type": "drain",
                              "reason": self._drain_reason})
-        self._emit("worker_reattached", shard=shard, token=token,
-                   worker=att.worker)
 
     def _handle_heartbeat(self, att: _Attachment,
                           message: Dict[str, Any]) -> None:
@@ -644,65 +554,6 @@ class CoordinatorService:
             self._send(att, {
                 "type": "reject", "for": "heartbeat", "shard": shard,
                 "token": token, "code": exc.code, "reason": str(exc)})
-
-    def _handle_progress(self, att: _Attachment,
-                         message: Dict[str, Any]) -> None:
-        shard = message.get("shard")
-        unit = message.get("unit")
-        index = int(message.get("index", 0))
-        record = {"type": "batch", "unit": unit, "index": index,
-                  "trials": int(message.get("trials", 0)),
-                  "successes": int(message.get("successes", 0)),
-                  "counts": message.get("counts")}
-        fingerprint = batch_fingerprint(record)
-        key = (unit, index)
-        previous = self._fingerprints.get(key)
-        if previous is not None and previous != fingerprint:
-            self._protocol_conflict(att, message, key, previous,
-                                    fingerprint)
-            return
-        self._fingerprints[key] = fingerprint
-        # Absorption ignores token staleness on purpose: a zombie's
-        # batches are identical by determinism (the fingerprint above
-        # proves it), and the estimator dedupes by (unit, index) anyway.
-        self._estimator.absorb(record)
-        self._emit("progress", shard=shard, unit=unit, index=index,
-                   trials=record["trials"],
-                   successes=record["successes"])
-
-    def _protocol_conflict(self, att: _Attachment,
-                           message: Dict[str, Any],
-                           key: Tuple[str, int], expected: str,
-                           got: str) -> None:
-        """Divergent batch counts: bundle the evidence, reject, serve on."""
-        unit, index = key
-        error = ProtocolError(
-            f"conflicting progress for unit {unit!r} batch {index}: "
-            f"fingerprint {got} contradicts previously accepted "
-            f"{expected} — deterministic batches cannot diverge between "
-            f"honest holders",
-            context={"unit": unit, "batch": index,
-                     "shard": message.get("shard"),
-                     "token": int(message.get("token", 0))})
-        shard = message.get("shard")
-        self._capture(
-            error, "coordinator.protocol",
-            [path for path in fabric_journal_paths(self.fabric_dir)
-             if shard and os.path.basename(path).startswith(shard)],
-            lambda bundle: bundle.protocol_outcome(
-                error, message=message,
-                expected={"fingerprint": expected}))
-        self._journal.append({
-            "type": "protocol_conflict", "shard": message.get("shard"),
-            "token": int(message.get("token", 0)), "unit": unit,
-            "index": index})
-        self._send(att, {
-            "type": "reject", "for": "progress",
-            "shard": message.get("shard"),
-            "token": int(message.get("token", 0)), "code": error.code,
-            "reason": str(error)})
-        self._emit("protocol_conflict", unit=unit, index=index,
-                   shard=message.get("shard"))
 
     def _handle_complete(self, att: _Attachment,
                          message: Dict[str, Any]) -> None:
@@ -743,8 +594,6 @@ class CoordinatorService:
                     "type": "reject", "for": "complete", "re": req,
                     "shard": shard, "token": token, "code": exc.code,
                     "reason": str(exc)})
-                self._emit("lease_rejected", shard=shard, token=token,
-                           code=exc.code)
                 return
             self.table.expire(shard, "drained (paused)")
             self._journal.append({"type": "lease_paused",
@@ -753,7 +602,6 @@ class CoordinatorService:
             if att.granted == (shard, token):
                 att.granted = None
             self._send(att, ack)
-            self._emit("lease_paused", shard=shard, token=token)
             return
         try:
             self.table.complete(shard, token)
@@ -767,8 +615,6 @@ class CoordinatorService:
                 "type": "reject", "for": "complete", "re": req,
                 "shard": shard, "token": token, "code": exc.code,
                 "reason": str(exc)})
-            self._emit("lease_rejected", shard=shard, token=token,
-                       code=exc.code)
             return
         except FabricError as exc:
             self._send(att, {
@@ -781,8 +627,6 @@ class CoordinatorService:
         if att.granted == (shard, token):
             att.granted = None
         self._send(att, ack)
-        self._emit("lease_completed", shard=shard, token=token,
-                   paused=paused)
 
     # -- lease TTL / global stop -------------------------------------------
 
@@ -797,8 +641,6 @@ class CoordinatorService:
             for att in self._attachments:
                 if att.granted == (shard, lease.token):
                     att.granted = None
-            self._emit("lease_expired", shard=shard, token=lease.token,
-                       reason=reason)
 
     def _tick_estimator(self) -> None:
         for cursor in self._cursors.values():
@@ -815,8 +657,6 @@ class CoordinatorService:
                     "rate": estimate.rate, "low": estimate.low,
                     "high": estimate.high, "trials": estimate.trials,
                     "successes": estimate.successes}})
-            self._emit("global_stop", reason=reason,
-                       trials=estimate.trials)
             self._set_drain(reason)
 
     def _set_drain(self, reason: str) -> None:
@@ -825,6 +665,3 @@ class CoordinatorService:
         for att in list(self._attachments):
             self._send(att, {"type": "drain",
                              "reason": self._drain_reason})
-        if not self._drain_announced:
-            self._drain_announced = True
-            self._emit("drain", reason=self._drain_reason)

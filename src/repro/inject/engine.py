@@ -25,9 +25,8 @@ signal-safe drains, and CRC-verified journals via ``salvage``); see
 :mod:`repro.inject.supervisor` for the policy objects and
 :class:`CampaignEngine`'s ``supervisor`` argument for the wiring.
 
-New unit kinds plug in through :func:`register_unit_kind`; batch runners
-must be module-level callables so worker processes can reach them under
-any start method.
+New unit kinds plug in through :func:`register_unit_kind`; batch
+workers are forked, so they inherit registered kinds and unit contexts.
 """
 
 from __future__ import annotations
@@ -184,8 +183,6 @@ class EngineConfig:
     #: hard ceiling on any single retry delay — the exponential curve
     #: saturates here instead of growing unbounded
     backoff_max_s: float = 30.0
-    #: whether a timed-out batch is retried (hangs are usually sticky)
-    retry_on_hang: bool = False
     #: stop a unit once the Wilson CI half-width shrinks below this
     #: (None disables early stopping)
     ci_half_width: Optional[float] = 0.02
@@ -193,8 +190,6 @@ class EngineConfig:
     min_trials: int = 50
     #: z-score of the confidence level (1.96 = 95%)
     z: float = 1.96
-    #: multiprocessing start method; "fork" lets workers inherit contexts
-    start_method: str = "fork"
     #: "process" isolates batches in subprocesses; "inline" runs them in
     #: the engine process (no isolation — debugging and picky platforms)
     isolation: str = "process"
@@ -242,7 +237,6 @@ class EngineConfig:
             "timeout_s": self.timeout_s, "max_retries": self.max_retries,
             "backoff_s": self.backoff_s,
             "backoff_max_s": self.backoff_max_s,
-            "retry_on_hang": self.retry_on_hang,
             "ci_half_width": self.ci_half_width,
             "min_trials": self.min_trials, "z": self.z,
             "isolation": self.isolation,
@@ -1160,16 +1154,9 @@ class CampaignEngine:
     """
 
     def __init__(self, config: Optional[EngineConfig] = None,
-                 supervisor: Any = None,
-                 drain_hook: Optional[Callable[[], Optional[str]]] = None):
+                 supervisor: Any = None):
         self.config = config if config is not None else EngineConfig()
         self.supervisor = supervisor
-        #: the fabric's drain *broadcast* hook: polled at every safe
-        #: point, a non-empty return value (the drain reason — e.g. the
-        #: coordinator's global early-stop verdict) drains this engine
-        #: exactly like a supervised signal would
-        self.drain_hook = drain_hook
-        self._hook_reason = ""
 
     # -- public API --------------------------------------------------------
 
@@ -1239,22 +1226,10 @@ class CampaignEngine:
     # -- supervisor plumbing -----------------------------------------------
 
     def _draining(self) -> bool:
-        if self.drain_hook is not None and not self._hook_reason:
-            reason = self.drain_hook()
-            if reason:
-                self._hook_reason = reason
-                if self.supervisor is not None:
-                    self.supervisor.request_drain(reason)
-        if self._hook_reason:
-            return True
         return self.supervisor is not None and self.supervisor.draining
 
     def _drain_reason(self) -> str:
-        if not self._draining():
-            return ""
-        if self.supervisor is not None and self.supervisor.draining:
-            return self.supervisor.drain_reason
-        return self._hook_reason
+        return self.supervisor.drain_reason if self._draining() else ""
 
     def _quarantine_after(self) -> Optional[int]:
         if self.supervisor is None:
@@ -1593,9 +1568,9 @@ class CampaignEngine:
                 # context) alongside the formatted message
                 failure["error"] = payload["error"]
             failures.append(failure)
+            # hangs are usually sticky: a timed-out batch is not retried
             retryable = outcome in ("error", "crashed",
-                                    "resource_exhausted") or \
-                (outcome == "hung" and config.retry_on_hang)
+                                    "resource_exhausted")
             if not retryable or attempts >= max_attempts or \
                     self._draining():
                 return outcome, payload, attempts, failures
@@ -1609,7 +1584,7 @@ class CampaignEngine:
                 return "resource_exhausted", _failure(exc)
             except Exception as exc:  # noqa: BLE001 — isolation boundary
                 return "error", _failure(exc)
-        context = multiprocessing.get_context(self.config.start_method)
+        context = multiprocessing.get_context("fork")
         queue = context.Queue()
         budget = self._budget()
         heartbeat_rx = heartbeat_tx = None

@@ -40,6 +40,7 @@ from repro.errors import FabricConfigError, FabricError
 from repro.inject.engine import (EngineConfig, WilsonEstimate, WorkUnit,
                                  shard_work_unit)
 from repro.inject.merge import MergedCampaign
+from repro.inject.supervisor import DRAIN_SIGNALS
 
 #: a lease TTL must clear the heartbeat interval by at least this factor
 #: so a single delayed/dropped beat (scheduler hiccup, chaos transport)
@@ -178,8 +179,6 @@ class FabricReport:
         return self.merged.report
 
 
-
-
 #: the coordinator's own journal and the merged artifact, per fabric dir
 COORDINATOR_JOURNAL = "coordinator.jsonl"
 MERGED_REPORT = "merged_report.json"
@@ -269,7 +268,7 @@ class CampaignFabric:
         previous: Dict[int, Any] = {}
         if self.config.install_signal_handlers:
             try:
-                for signum in (_signal.SIGTERM, _signal.SIGINT):
+                for signum in DRAIN_SIGNALS:
                     previous[signum] = _signal.signal(
                         signum, self._handle_signal)
             except ValueError:

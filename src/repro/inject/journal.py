@@ -50,7 +50,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InjectionError
 
@@ -68,8 +68,9 @@ def _canonical(record: Dict[str, Any]) -> str:
 def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
     """Write ``text`` to ``path`` atomically (temp + ``os.replace``).
 
-    The shared primitive behind every small control file the fabric
-    readers poll concurrently — drain broadcasts, lease heartbeats: a
+    The shared primitive behind small files that readers may open while
+    they are rewritten — certificate artifacts and the certificate
+    store's entries, ``latest`` pointers and dead-letter records: a
     reader sees either the previous content or the new content, never a
     torn write.  With ``fsync`` (the default) the data is flushed to
     disk before the rename, so a crash straddling the replace cannot
@@ -137,6 +138,31 @@ def _scan_journal(path: str, salvage: bool = False,
     return result
 
 
+def _verify_record(text: str, rix_expected: int
+                   ) -> Tuple[Optional[Dict[str, Any]], str]:
+    """Decode one journal line and check its CRC32 and record index.
+
+    Returns ``(record, "")`` with the ``crc`` field stripped, or
+    ``(None, what)`` naming the first check the line failed.  Records
+    written before the integrity fields existed carry neither and pass.
+    """
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError:
+        return None, "corrupt journal record"
+    if not isinstance(record, dict):
+        return None, "non-object journal record"
+    stored_crc = record.pop("crc", None)
+    if stored_crc is not None and \
+            stored_crc != zlib.crc32(_canonical(record).encode("utf-8")):
+        return None, "journal record failed its CRC32 check"
+    rix = record.get("rix")
+    if rix is not None and rix != rix_expected:
+        return None, (f"journal record index {rix} != expected "
+                      f"{rix_expected} (records dropped or spliced)")
+    return record, ""
+
+
 def _scan_line(path: str, result: _ScanResult, salvage: bool,
                absorb: Optional[Callable[[Dict[str, Any]], None]],
                number: int, offset: int, raw: bytes,
@@ -161,20 +187,9 @@ def _scan_line(path: str, result: _ScanResult, salvage: bool,
             f"{path}:{number + 1}: {what} before the final line; "
             f"pass salvage=True to resume from the last good record")
 
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError:
-        return bad("corrupt journal record")
-    if not isinstance(record, dict):
-        return bad("non-object journal record")
-    stored_crc = record.pop("crc", None)
-    if stored_crc is not None and \
-            stored_crc != zlib.crc32(_canonical(record).encode("utf-8")):
-        return bad("journal record failed its CRC32 check")
-    rix = record.get("rix")
-    if rix is not None and rix != result.records:
-        return bad(f"journal record index {rix} != expected "
-                   f"{result.records} (records dropped or spliced)")
+    record, problem = _verify_record(text, result.records)
+    if record is None:
+        return bad(problem)
     if absorb is not None:
         absorb(record)
     result.records += 1
@@ -439,18 +454,21 @@ def _round_trip(params: Dict[str, Any]) -> Dict[str, Any]:
 class JournalCursor:
     """Incremental reader over a *growing* journal file (the merge cursor).
 
-    The fabric coordinator ticks its global Wilson estimator on every
-    shard progress event; re-reading whole multi-MB shard journals on
-    each tick would be quadratic.  A cursor remembers its byte offset
-    and running record index, and each :meth:`poll` verifies and returns
-    only the records appended since the previous poll:
+    The fabric coordinator tails every lease journal into its global
+    Wilson estimator on each poll tick, and ``coordinator.jsonl`` is
+    tailed the same way to follow a job; re-reading whole multi-MB
+    journals on each tick would be quadratic.  A cursor remembers its
+    byte offset and running record index, and each :meth:`poll`
+    verifies and returns only the records appended since the previous
+    poll:
 
     * only lines terminated by a newline are consumed — a partial final
       line is either an append in progress or a torn tail, and stays
       pending until (unless) it completes;
-    * CRC32 and ``rix`` continuity are verified exactly as in
+    * CRC32 and ``rix`` continuity are verified by the same check as
       :meth:`JournalState.load`; the first bad record **fuses** the
-      cursor (``corrupt`` becomes the ``file:line``), which permanently
+      cursor (``corrupt`` names the file, the failed check and the
+      record index), which permanently
       stops consumption — the terminal salvage-aware merge, not the
       online estimator, is the authority on damaged journals;
     * a file that does not exist yet simply yields no records.
@@ -476,32 +494,11 @@ class JournalCursor:
                 self._offset += len(raw)
                 if not text:
                     continue
-                record = self._verify(text)
+                record, problem = _verify_record(text, self.records)
                 if record is None:
+                    self.corrupt = (f"{self.path}: {problem} at record "
+                                    f"{self.records}")
                     return fresh
                 self.records += 1
                 fresh.append(record)
         return fresh
-
-    def _verify(self, text: str) -> Optional[Dict[str, Any]]:
-        def fuse(what: str) -> None:
-            self.corrupt = f"{self.path}: {what} at record {self.records}"
-
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError:
-            fuse("corrupt journal record")
-            return None
-        if not isinstance(record, dict):
-            fuse("non-object journal record")
-            return None
-        stored_crc = record.pop("crc", None)
-        if stored_crc is not None and \
-                stored_crc != zlib.crc32(_canonical(record).encode("utf-8")):
-            fuse("journal record failed its CRC32 check")
-            return None
-        rix = record.get("rix")
-        if rix is not None and rix != self.records:
-            fuse(f"journal record index {rix} != expected {self.records}")
-            return None
-        return record

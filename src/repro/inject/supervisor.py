@@ -42,11 +42,14 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.errors import InjectionError, ResourceExhausted
 
 _MB = 1024 * 1024
+
+#: the signals a supervisor turns into a drain request
+DRAIN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,6 @@ class SupervisorConfig:
     #: :mod:`repro.bundle` repro bundles (None = no capture; takes
     #: precedence over the engine's own ``bundle_dir`` for quarantines)
     bundle_dir: Optional[str] = None
-    #: which signals request a drain
-    signals: Tuple[int, ...] = (signal.SIGTERM, signal.SIGINT)
 
     def __post_init__(self):
         if self.quarantine_after is not None and self.quarantine_after < 1:
@@ -223,11 +224,11 @@ class CampaignSupervisor:
         self.request_drain(f"signal {signal.Signals(signum).name}")
 
     def install(self) -> "CampaignSupervisor":
-        """Hook the configured signals, remembering the old handlers."""
+        """Hook :data:`DRAIN_SIGNALS`, remembering the old handlers."""
         if not self.config.install_signal_handlers:
             return self
         try:
-            for signum in self.config.signals:
+            for signum in DRAIN_SIGNALS:
                 self._previous[signum] = signal.signal(
                     signum, self._handle_signal)
         except ValueError:

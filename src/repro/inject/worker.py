@@ -52,7 +52,7 @@ from repro.errors import (FabricConfigError, FrameError, TransportClosed,
                           TransportError)
 from repro.inject.coordinator import unwire_unit
 from repro.inject.engine import (CampaignEngine, EngineConfig, _retry_delay)
-from repro.inject.journal import Journal, JournalCursor
+from repro.inject.journal import Journal
 from repro.inject.supervisor import CampaignSupervisor, SupervisorConfig
 from repro.inject.transport import Connection, _SocketConnection
 
@@ -75,9 +75,7 @@ class WorkerConfig:
     #: resend a request this many times before treating the connection
     #: as lost (at-least-once delivery against frame drops)
     max_request_resends: int = 3
-    #: fallback heartbeat cadence when a grant does not specify one
-    heartbeat_interval_s: float = 0.25
-    #: pump-thread poll cadence (inbound frames + journal cursor)
+    #: pump-thread poll cadence (inbound frames)
     poll_interval_s: float = 0.05
     #: supervisor policy for the engine runs (None = defaults)
     supervisor: Optional[SupervisorConfig] = None
@@ -301,8 +299,7 @@ class ShardWorker:
         header = dict(grant.get("header") or {})
         units = [unwire_unit(encoded) for encoded in grant["units"]]
         engine_config = EngineConfig(**dict(grant["engine"]))
-        interval = float(grant.get("heartbeat_interval_s",
-                                   self.config.heartbeat_interval_s))
+        interval = float(grant["heartbeat_interval_s"])
         # durable connection forensics: which worker ran this lease and
         # how many dial attempts the grant cost (ignored by replay,
         # rebase, and merge — the records are not in their vocabulary)
@@ -312,16 +309,15 @@ class ShardWorker:
                         "token": token, "pid": os.getpid(),
                         "attempts": self._last_connect_attempts})
         journal.close()
-        state = {"drain": None, "lost": False, "stop": False}
         supervisor = CampaignSupervisor(
             self.config.supervisor if self.config.supervisor is not None
             else SupervisorConfig(install_signal_handlers=False))
-        engine = CampaignEngine(engine_config, supervisor=supervisor,
-                                drain_hook=lambda: state["drain"])
+        state = {"drain": None, "lost": False, "stop": False,
+                 "supervisor": supervisor}
+        engine = CampaignEngine(engine_config, supervisor=supervisor)
         pump = threading.Thread(
             target=self._pump, name=f"{self.worker_id}-pump",
-            args=(shard, token, journal_path, interval, state),
-            daemon=True)
+            args=(shard, token, interval, state), daemon=True)
         pump.start()
         try:
             with supervisor:
@@ -377,26 +373,24 @@ class ShardWorker:
 
     # -- the pump thread ---------------------------------------------------
 
-    def _progress_message(self, shard: str, token: int,
-                          record: Dict[str, Any]) -> Dict[str, Any]:
-        return {"type": "progress", "shard": shard, "token": token,
-                "unit": record.get("unit"),
-                "index": record.get("index"),
-                "trials": record.get("trials", 0),
-                "successes": record.get("successes", 0),
-                "counts": record.get("counts")}
+    @staticmethod
+    def _drain(state: Dict[str, Any], reason: str,
+               lost: bool = False) -> None:
+        """Record why the shard stops; its engine drains at a safe point."""
+        state["drain"] = reason
+        state["lost"] = state["lost"] or lost
+        state["supervisor"].request_drain(reason)
 
-    def _pump(self, shard: str, token: int, journal_path: str,
-              interval: float, state: Dict[str, Any]) -> None:
-        """Heartbeats out, progress out, drain/reject in — while the
-        engine runs in the main thread.
+    def _pump(self, shard: str, token: int, interval: float,
+              state: Dict[str, Any]) -> None:
+        """Heartbeats out, drain/reject in — while the engine runs in
+        the main thread.
 
         Owns ``self._conn`` for the duration: on a torn connection it
         re-dials with capped backoff and **re-validates the fencing
         token** with a ``reattach`` before resuming; a rejection flips
         ``state['lost']`` and drains the engine at its next safe point.
         """
-        cursor = JournalCursor(journal_path)
         beat = 0
         next_beat = 0.0
         while not state["stop"]:
@@ -407,10 +401,6 @@ class ShardWorker:
                     self._conn.send({"type": "heartbeat", "shard": shard,
                                      "token": token, "beat": beat})
                     next_beat = now + interval
-                for record in cursor.poll():
-                    if record.get("type") == "batch":
-                        self._conn.send(self._progress_message(
-                            shard, token, record))
                 message = self._conn.recv(
                     timeout=min(interval, self.config.poll_interval_s))
             except (TransportClosed, FrameError):
@@ -421,16 +411,15 @@ class ShardWorker:
                 continue
             kind = message.get("type")
             if kind == "drain":
-                state["drain"] = message.get("reason") \
-                    or "coordinator drain"
+                self._drain(state, message.get("reason")
+                            or "coordinator drain")
             elif kind == "done":
-                state["drain"] = message.get("reason") or "job done"
+                self._drain(state, message.get("reason") or "job done")
             elif kind == "reject":
                 if message.get("shard") == shard and \
                         int(message.get("token", -1)) == token:
-                    state["drain"] = (f"lease lost: "
-                                      f"{message.get('reason')}")
-                    state["lost"] = True
+                    self._drain(state, f"lease lost: "
+                                f"{message.get('reason')}", lost=True)
                     return
             # ok / anything else: ignore
 
@@ -475,19 +464,18 @@ class ShardWorker:
                 self._last_connect_attempts = attempt
                 return True
             if kind in ("done", "drain"):
-                state["drain"] = reply.get("reason") or "fleet drain"
+                self._drain(state, reply.get("reason") or "fleet drain")
                 self._conn = conn
                 return True
             if kind == "reject":
                 # fencing re-validation failed: the lease was stolen
                 # while we were gone — abandon the shard, keep the
                 # connection for the next attach
-                state["drain"] = f"lease lost: {reply.get('reason')}"
-                state["lost"] = True
+                self._drain(state, f"lease lost: {reply.get('reason')}",
+                            lost=True)
                 self._conn = conn
                 return False
-        state["drain"] = "reconnect attempts exhausted"
-        state["lost"] = True
+        self._drain(state, "reconnect attempts exhausted", lost=True)
         return False
 
     def _await_reply(self, conn, req: str) -> Optional[Dict[str, Any]]:

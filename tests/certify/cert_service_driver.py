@@ -1,37 +1,31 @@
-"""Chaos-test driver for the certification service.
+"""Crash-test processes for the certificate store and service.
 
-The cert-service chaos tests need a service they can start, SIGKILL
-mid-sweep, and restart from outside — and clients whose transport they
-can wrap in a chaos schedule — so this module runs each role as a
-process of its own::
-
-    PYTHONPATH=src python -m tests.certify.cert_service_driver \
-        --listen /tmp/certd.sock --cache-dir /tmp/cert-cache
+The SIGKILL tests need a certificate lookup and a store writer they can
+kill from outside, so this module runs each role as a process of its
+own::
 
     PYTHONPATH=src python -m tests.certify.cert_service_driver \
-        --client /tmp/certd.sock --scheme secded-dp \
-        --chaos-seed 7 --drop 0.1 --dup 0.1
+        --lookup /tmp/cert-cache --scheme secded-dp
 
     PYTHONPATH=src python -m tests.certify.cert_service_driver \
         --churn /tmp/cert-cache --key-count 4
 
-``--hold-file`` makes every sweep spin until the file disappears (after
-printing ``SWEEP_STARTED``), giving the kill tests a deterministic
-mid-sweep window.  ``--churn`` rewrites store entries in a tight loop —
-the victim for the kill-during-put torn-entry test.
+``--lookup`` serves one certificate through
+:meth:`~repro.certify.service.CertificateService.lookup` and prints one
+``LOOKUP_OK`` line.  ``--hold-file`` makes every sweep spin until the
+file disappears (after printing ``SWEEP_STARTED``), giving the kill
+tests a deterministic mid-sweep window.  ``--churn`` rewrites store
+entries in a tight loop — the victim for the kill-during-put
+torn-entry test.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from repro.certify.service import CertificateService
 from repro.certify.store import CertificateStore
-from repro.inject.transport import (ChaosConfig, ChaosDialer,
-                                    UnixSocketListener, unix_connect)
-from repro.errors import TransportClosed
 
 
 class HoldingService(CertificateService):
@@ -47,70 +41,16 @@ class HoldingService(CertificateService):
         return super()._sweep(scheme_name, scheme, key, only=only)
 
 
-def run_service(args):
-    store = CertificateStore(args.cache_dir)
-    if args.hold_file:
-        service = HoldingService(store, mode=args.mode, seed=args.seed,
-                                 strict=args.strict)
-        service.hold_file = args.hold_file
-    else:
-        service = CertificateService(store, mode=args.mode,
-                                     seed=args.seed, strict=args.strict)
-    listener = UnixSocketListener(args.listen)
-    print(f"SERVICE_READY sock={args.listen}", flush=True)
-    try:
-        service.serve(listener)
-    finally:
-        listener.close()
-    stats = service.stats()
-    print(f"SERVICE_DONE hits={stats['hits']} misses={stats['misses']} "
-          f"incremental={stats['incremental']} "
-          f"stale={stats['stale_served']} "
-          f"quarantined={stats['quarantined']}", flush=True)
+def run_lookup(args):
+    service = HoldingService(CertificateStore(args.lookup),
+                             mode=args.mode, seed=args.seed,
+                             strict=args.strict)
+    service.hold_file = args.hold_file
+    served = service.lookup(args.scheme)
+    print(f"LOOKUP_OK cache={served.cache} key={served.key} "
+          f"passed={served.payload['certificate']['passed']}",
+          flush=True)
     return 0
-
-
-def run_client(args):
-    dial = lambda: unix_connect(args.client, timeout=10.0)  # noqa: E731
-    if args.chaos_seed is not None:
-        dial = ChaosDialer(dial, ChaosConfig(
-            seed=args.chaos_seed, drop=args.drop, dup=args.dup,
-            reorder=args.reorder))
-    request = {"kind": "certify", "scheme": args.scheme}
-    if args.strict:
-        request["strict"] = True
-    # the request is idempotent (the service dedups sweeps), so a
-    # chaos-dropped frame is safely re-sent on a fresh connection
-    deadline = time.time() + args.timeout
-    response = None
-    while response is None and time.time() < deadline:
-        try:
-            connection = dial()
-            connection.send(request)
-            response = connection.recv(timeout=5.0)
-            connection.close()
-        except TransportClosed:
-            time.sleep(0.1)
-    if response is None:
-        print("CLIENT_TIMEOUT", flush=True)
-        return 3
-    if response.get("kind") == "certificate":
-        payload = response["payload"]
-        print(f"CLIENT_OK cache={response['cache']} "
-              f"key={response['key']} "
-              f"passed={payload['certificate']['passed']} "
-              f"sha={payload_sha(payload)}", flush=True)
-        return 0
-    print(f"CLIENT_{response.get('kind', 'unknown').upper()} "
-          f"code={response.get('error', {}).get('code')}", flush=True)
-    return 1 if response.get("kind") == "refusal" else 2
-
-
-def payload_sha(payload):
-    import hashlib
-    blob = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 def run_churn(args):
@@ -129,26 +69,17 @@ def run_churn(args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     role = parser.add_mutually_exclusive_group(required=True)
-    role.add_argument("--listen", metavar="SOCK")
-    role.add_argument("--client", metavar="SOCK")
+    role.add_argument("--lookup", metavar="CACHE_DIR")
     role.add_argument("--churn", metavar="CACHE_DIR")
-    parser.add_argument("--cache-dir")
     parser.add_argument("--mode", default="fast")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--strict", action="store_true")
     parser.add_argument("--hold-file", default=None)
     parser.add_argument("--scheme", default="parity")
-    parser.add_argument("--timeout", type=float, default=60.0)
-    parser.add_argument("--chaos-seed", type=int, default=None)
-    parser.add_argument("--drop", type=float, default=0.0)
-    parser.add_argument("--dup", type=float, default=0.0)
-    parser.add_argument("--reorder", type=float, default=0.0)
     parser.add_argument("--key-count", type=int, default=4)
     args = parser.parse_args(argv)
-    if args.listen:
-        return run_service(args)
-    if args.client:
-        return run_client(args)
+    if args.lookup:
+        return run_lookup(args)
     return run_churn(args)
 
 

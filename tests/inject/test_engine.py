@@ -14,6 +14,7 @@ from repro.inject import (OUTCOMES, RECOVERY_CLASSES, CampaignEngine,
                           register_unit_kind, run_full_campaign,
                           run_unit_campaign, wilson_interval)
 from repro.inject.engine import BatchSpec, make_scheme
+from repro.inject.journal import Journal
 
 
 def _tally_runner(params, context, batch):
@@ -349,6 +350,24 @@ class TestJournalResume:
                                              max_retries=0)).run(
             [WorkUnit("a", "tally", {})], journal)
         assert report.units["a"].resumed
+
+    def test_config_record_with_a_retired_knob_still_resumes(
+            self, tmp_path):
+        # journals from before retry_on_hang was retired still carry it
+        # in their config record; resume compares statistical knobs only
+        journal = str(tmp_path / "journal.jsonl")
+        config = quick_config(max_batches=3)
+        unit = WorkUnit("u", "tally", {})
+        with Journal(journal) as writer:
+            writer.append({"type": "config", "config": dict(
+                config.to_dict(), retry_on_hang=False)})
+            writer.unit_started("u", "tally", unit.params)
+            writer.batch("u", 0, trials=4, successes=4,
+                         counts={"due": 4}, attempts=1)
+        report = CampaignEngine(config).run([unit], journal)
+        result = report.units["u"]
+        assert result.status == "completed" and result.resumed
+        assert (result.batches, result.trials) == (3, 12)
 
 
 class TestEarlyStopping:

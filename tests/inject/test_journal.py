@@ -6,7 +6,8 @@ import os
 import pytest
 
 from repro.errors import InjectionError
-from repro.inject.journal import Journal, JournalState, NullJournal
+from repro.inject.journal import (Journal, JournalCursor, JournalState,
+                                  NullJournal)
 
 
 def write_journal(path, *records):
@@ -366,3 +367,46 @@ class TestSalvageEvent:
             assert journal.salvage_event is None
         state = JournalState.load(str(path))
         assert state.salvage_events == []
+
+
+def _flip_crc(line):
+    record = json.loads(line)
+    record["crc"] ^= 1
+    return json.dumps(record, sort_keys=True).encode("utf-8")
+
+
+#: one mid-file corruption per integrity check a journal line must pass
+_CORRUPTIONS = {
+    "bad-json": lambda line: line[:len(line) // 2],
+    "non-object": lambda line: b"[1, 2, 3]",
+    "flipped-crc": _flip_crc,
+    "rix-gap": None,  # the line is dropped: the next rix jumps
+}
+
+
+class TestJournalCursor:
+    @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+    def test_cursor_stops_where_salvage_load_stops(self, tmp_path,
+                                                   corruption):
+        path = tmp_path / "journal.jsonl"
+        _sample_journal(path, batches=6)
+        lines = path.read_bytes().split(b"\n")[:-1]
+        bad = 4  # header, unit_started, batches 0 and 1 come before it
+        if _CORRUPTIONS[corruption] is None:
+            del lines[bad]
+        else:
+            lines[bad] = _CORRUPTIONS[corruption](lines[bad])
+        cursor = JournalCursor(str(path))
+        # the file grows under the cursor: first the good prefix and a
+        # partial line, which must stay pending rather than be yielded
+        path.write_bytes(b"".join(line + b"\n" for line in lines[:bad])
+                         + lines[bad][:8])
+        polled = cursor.poll()
+        assert len(polled) == bad and cursor.corrupt is None
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        assert cursor.poll() == []
+        assert cursor.corrupt is not None
+        state = JournalState.load(str(path), salvage=True)
+        assert state.salvaged_line == cursor.records + 1 == bad + 1
+        assert [record for record in polled
+                if record["type"] == "batch"] == state.batches["u"]

@@ -3,7 +3,8 @@
 The protocol-level tests speak raw frames at a live
 :class:`~repro.inject.coordinator.CoordinatorService` over the
 in-process transport — duplicated completions, stale fencing tokens
-after a steal, reordered heartbeat/progress frames — and the
+after a steal, reordered heartbeats, batches journaled twice by a
+rebase — and the
 campaign-level tests pin the headline guarantee: a service deployment's
 merged report is byte-identical to the local fabric's, chaos or not.
 """
@@ -182,73 +183,45 @@ class TestProtocolIdempotence:
         assert result["report"].shard_status == {"shard-000": "completed"}
 
     def test_reordered_and_duplicated_frames_absorb_once(self, tmp_path):
-        service, transport = self._service(tmp_path, shards=1, units=1)
+        service, transport = self._service(
+            tmp_path, shards=1, units=1, lease_ttl_s=0.4)
         thread, result = _serve_in_thread(service)
         conn = transport.connect()
-        grant = _request(conn, {"type": "attach", "worker": "t0"}, "r1")
-        shard, token = grant["shard"], grant["token"]
+        first = _request(conn, {"type": "attach", "worker": "t0"}, "r1")
+        shard, token = first["shard"], first["token"]
         # heartbeats arrive out of order: renew keeps the highest beat
         for beat in (3, 1, 2):
             conn.send({"type": "heartbeat", "shard": shard,
                        "token": token, "beat": beat})
-        # progress arrives reordered AND duplicated; the estimator must
-        # count each (unit, index) exactly once
-        frames = [
-            {"type": "progress", "shard": shard, "token": token,
-             "unit": "u0", "index": 1, "trials": 20, "successes": 5,
-             "counts": {"detected": 5, "masked": 15}},
-            {"type": "progress", "shard": shard, "token": token,
-             "unit": "u0", "index": 0, "trials": 20, "successes": 4,
-             "counts": {"detected": 4, "masked": 16}},
-        ]
-        for frame in frames + [frames[0]]:  # replay the first again
-            conn.send(frame)
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and \
-                service._estimator.trials < 40:
-            time.sleep(0.02)
-        assert service._estimator.trials == 40
-        _run_granted_shard(grant)
-        _request(conn, {"type": "complete", "shard": shard,
-                        "token": token, "paused": False}, "r2")
-        thread.join(60)
-        assert "error" not in result, result.get("error")
-
-    def test_conflicting_progress_is_rejected_and_bundled(self, tmp_path):
-        transport = InProcessTransport()
-        bundle_dir = str(tmp_path / "bundles")
-        service = CoordinatorService(
-            str(tmp_path / "fab"),
-            config=toy_config(shards=1, bundle_dir=bundle_dir),
-            listener=transport)
-        service.submit(toy_units(1))
-        thread, result = _serve_in_thread(service)
-        conn = transport.connect()
-        grant = _request(conn, {"type": "attach", "worker": "t0"}, "r1")
-        shard, token = grant["shard"], grant["token"]
-        base = {"type": "progress", "shard": shard, "token": token,
-                "unit": "u0", "index": 0, "trials": 20,
-                "counts": {"detected": 5, "masked": 15}}
-        conn.send(dict(base, successes=5))
-        conn.send(dict(base, successes=7))  # divergent execution
+        # token 1 journals every batch, then stops beating: its lease
+        # expires with the work done but never completed
+        _run_granted_shard(first)
         deadline = time.monotonic() + 10.0
-        reject = None
-        while time.monotonic() < deadline and reject is None:
-            reply = conn.recv(timeout=0.05)
-            if reply is not None and reply.get("type") == "reject":
-                reject = reply
-        assert reject is not None
-        assert reject["code"] == "coordinator.protocol"
-        # the coordinator keeps serving: the shard still completes
-        _run_granted_shard(grant)
+        while time.monotonic() < deadline and "lease_expired" not in [
+                record["type"] for record
+                in _coordinator_records(service.fabric_dir)]:
+            time.sleep(0.02)
+        # token 2's journal is rebased from token 1's, so the
+        # coordinator now tails every batch in two lease journals
+        second = _request(conn, {"type": "attach", "worker": "t0"}, "r2")
+        assert (second["shard"], second["token"]) == (shard, 2)
+        _run_granted_shard(second)
         _request(conn, {"type": "complete", "shard": shard,
-                        "token": token, "paused": False}, "r2")
+                        "token": second["token"], "paused": False}, "r3")
         thread.join(60)
         assert "error" not in result, result.get("error")
-        kinds = [record["type"]
-                 for record in _coordinator_records(service.fabric_dir)]
-        assert "protocol_conflict" in kinds
-        assert os.listdir(bundle_dir)  # the evidence bundle landed
+        batches = []
+        for path in fabric_journal_paths(service.fabric_dir):
+            with open(path) as handle:
+                batches += [record for record in map(json.loads, handle)
+                            if record["type"] == "batch"]
+        distinct = {(record["unit"], record["index"]): record["trials"]
+                    for record in batches}
+        assert len(batches) == 2 * len(distinct) > 0
+        # the estimator counts each (unit, index) once, as the merge does
+        assert service._estimator.trials == sum(distinct.values())
+        assert service._estimator.trials == \
+            result["report"].estimate.trials
 
     def test_grant_ships_the_whole_engine_config(self, tmp_path):
         # the journaled to_dict() leaves out fsync, salvage and
