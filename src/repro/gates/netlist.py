@@ -10,16 +10,19 @@ sample ``i``.  One topological sweep therefore evaluates every sample at
 once, which is what makes the paper's 10,000-input-pair fault-injection
 campaigns tractable in pure Python.
 
-Fault injection flips one node's output (for any subset of samples) and
-re-evaluates only the fault's fan-out cone, mirroring the Hamartia
-methodology of Section IV-A.
+Fault injection flips one node's output (for any subset of samples),
+mirroring the Hamartia methodology of Section IV-A, and is event-driven:
+only consumers of nets whose value actually changed are recomputed, in node
+id (topological) order along a memoized fan-out map, so a fault that is
+masked a few gates downstream costs a few gate evaluations.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetlistError
 
@@ -84,6 +87,7 @@ class Netlist:
         self.input_buses: Dict[str, Bus] = {}
         self.output_buses: Dict[str, Bus] = {}
         self._const_cache: Dict[Op, int] = {}
+        self._fanout: List[List[int]] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -233,42 +237,43 @@ class Netlist:
     def evaluate(self, packed: "PackedInputs") -> List[int]:
         """One topological sweep; returns the packed value of every node."""
         full = (1 << packed.sample_count) - 1
+        inputs = packed.values
+        AND, XOR, OR, MUX, DFF, NOT = (Op.AND, Op.XOR, Op.OR, Op.MUX,
+                                       Op.DFF, Op.NOT)
         values: List[int] = [0] * len(self.nodes)
         for node_id, node in enumerate(self.nodes):
-            values[node_id] = self._eval_node(node, values, packed, full,
-                                              node_id)
+            op = node.op
+            ins = node.inputs
+            if op is AND:
+                value = values[ins[0]] & values[ins[1]]
+            elif op is XOR:
+                value = values[ins[0]] ^ values[ins[1]]
+            elif op is OR:
+                value = values[ins[0]] | values[ins[1]]
+            elif op is MUX:
+                sel = values[ins[0]]
+                value = (sel & values[ins[1]]) | \
+                    ((sel ^ full) & values[ins[2]])
+            elif op is DFF:
+                value = values[ins[0]]
+            elif op is NOT:
+                value = values[ins[0]] ^ full
+            elif op is Op.NAND:
+                value = (values[ins[0]] & values[ins[1]]) ^ full
+            elif op is Op.NOR:
+                value = (values[ins[0]] | values[ins[1]]) ^ full
+            elif op is Op.XNOR:
+                value = values[ins[0]] ^ values[ins[1]] ^ full
+            elif op is Op.INPUT:
+                value = inputs.get(node_id, 0)
+            elif op is Op.CONST0:
+                value = 0
+            elif op is Op.CONST1:
+                value = full
+            else:
+                raise NetlistError(f"unknown op {op}")
+            values[node_id] = value
         return values
-
-    def _eval_node(self, node: Node, values, packed: "PackedInputs",
-                   full: int, node_id: int) -> int:
-        op = node.op
-        if op is Op.INPUT:
-            return packed.values.get(node_id, 0)
-        if op is Op.CONST0:
-            return 0
-        if op is Op.CONST1:
-            return full
-        ins = node.inputs
-        if op is Op.NOT:
-            return values[ins[0]] ^ full
-        if op is Op.AND:
-            return values[ins[0]] & values[ins[1]]
-        if op is Op.OR:
-            return values[ins[0]] | values[ins[1]]
-        if op is Op.XOR:
-            return values[ins[0]] ^ values[ins[1]]
-        if op is Op.NAND:
-            return (values[ins[0]] & values[ins[1]]) ^ full
-        if op is Op.NOR:
-            return (values[ins[0]] | values[ins[1]]) ^ full
-        if op is Op.XNOR:
-            return values[ins[0]] ^ values[ins[1]] ^ full
-        if op is Op.MUX:
-            sel = values[ins[0]]
-            return (sel & values[ins[1]]) | ((sel ^ full) & values[ins[2]])
-        if op is Op.DFF:
-            return values[ins[0]]
-        raise NetlistError(f"unknown op {op}")
 
     def read_bus(self, values: Sequence[int], bus: Sequence[int],
                  sample: int) -> int:
@@ -287,63 +292,87 @@ class Netlist:
     # fault injection support
     # ------------------------------------------------------------------
     def fanout_map(self) -> List[List[int]]:
-        """For each node, the ids of nodes that consume it directly."""
-        fanout: List[List[int]] = [[] for _ in self.nodes]
-        for node_id, node in enumerate(self.nodes):
-            for source in node.inputs:
-                fanout[source].append(node_id)
-        return fanout
+        """For each node, the ids of nodes that consume it directly.
 
-    def fanout_cone(self, site: int,
-                    fanout: Optional[List[List[int]]] = None) -> List[int]:
-        """Topologically-sorted transitive fan-out of ``site`` (inclusive)."""
-        if fanout is None:
-            fanout = self.fanout_map()
-        affected = {site}
-        # Node ids are already topological; a single forward pass suffices.
-        for node_id in range(site + 1, len(self.nodes)):
-            if any(source in affected
-                   for source in self.nodes[node_id].inputs):
-                affected.add(node_id)
-        return sorted(affected)
+        Built on first use and kept until nodes are appended (netlists are
+        append-only), so area-only netlists never carry one.  Each list is
+        ascending; callers must not mutate it.
+        """
+        if len(self._fanout) != len(self.nodes):
+            fanout: List[List[int]] = [[] for _ in self.nodes]
+            for node_id, node in enumerate(self.nodes):
+                for source in node.inputs:
+                    fanout[source].append(node_id)
+            self._fanout = fanout
+        return self._fanout
 
     def evaluate_with_fault(self, packed: "PackedInputs",
                             baseline: Sequence[int], site: int,
-                            flip_mask: Optional[int] = None,
-                            cone: Optional[Sequence[int]] = None
+                            flip_mask: Optional[int] = None
                             ) -> Dict[int, int]:
-        """Re-evaluate the fan-out cone of ``site`` with its output flipped.
+        """Re-evaluate what flipping ``site``'s output changes downstream.
 
         ``flip_mask`` selects which samples see the flip (default: all).
         Returns a sparse map node id -> new packed value; nodes absent from
         the map keep their baseline value.
+
+        Event-driven: a min-heap holds the consumers of nets that changed,
+        and the lowest id pops first.  Ids are topological, so every input
+        of a popped node is final; a node that recomputes to its baseline
+        value stops the propagation there, so the cost is proportional to
+        the nets the fault actually changes.
         """
         full = (1 << packed.sample_count) - 1
         if flip_mask is None:
             flip_mask = full
-        if cone is None:
-            cone = self.fanout_cone(site)
         changed: Dict[int, int] = {}
-
-        class _View:
-            """Baseline values overlaid with the fault's changed values."""
-
-            __slots__ = ()
-
-            def __getitem__(_self, node_id):
-                return changed.get(node_id, baseline[node_id])
-
-        view = _View()
-        for node_id in cone:
-            if node_id == site:
-                value = baseline[site] ^ flip_mask
+        value = baseline[site] ^ flip_mask
+        if value == baseline[site]:
+            return changed
+        changed[site] = value
+        get = changed.get
+        nodes = self.nodes
+        fanout = self.fanout_map()
+        AND, XOR, OR, MUX, DFF, NOT = (Op.AND, Op.XOR, Op.OR, Op.MUX,
+                                       Op.DFF, Op.NOT)
+        heap = list(fanout[site])  # ascending, so already a heap
+        last = -1
+        while heap:
+            node_id = heappop(heap)
+            if node_id == last:
+                continue  # queued by more than one changed input
+            last = node_id
+            node = nodes[node_id]
+            op = node.op
+            ins = node.inputs
+            a = get(ins[0], baseline[ins[0]])
+            if op is DFF:
+                value = a
+            elif op is NOT:
+                value = a ^ full
+            elif op is MUX:
+                value = (a & get(ins[1], baseline[ins[1]])) | \
+                    ((a ^ full) & get(ins[2], baseline[ins[2]]))
             else:
-                value = self._eval_node(self.nodes[node_id], view, packed,
-                                        full, node_id)
+                b = get(ins[1], baseline[ins[1]])
+                if op is AND:
+                    value = a & b
+                elif op is XOR:
+                    value = a ^ b
+                elif op is OR:
+                    value = a | b
+                elif op is Op.NAND:
+                    value = (a & b) ^ full
+                elif op is Op.NOR:
+                    value = (a | b) ^ full
+                elif op is Op.XNOR:
+                    value = a ^ b ^ full
+                else:
+                    raise NetlistError(f"unknown op {op}")
             if value != baseline[node_id]:
                 changed[node_id] = value
-            elif node_id in changed:
-                del changed[node_id]
+                for consumer in fanout[node_id]:
+                    heappush(heap, consumer)
         return changed
 
     def __repr__(self) -> str:

@@ -7,10 +7,13 @@ pair, with the fault site uniform over the sites that are unmasked for that
 input.
 
 The bit-parallel simulator lets us evaluate one fault site across every
-input sample in a single fan-out-cone sweep, so the campaign loops over
-(possibly subsampled) fault sites and maintains, per input sample, a
-uniform reservoir over the unmasked sites seen — exactly the conditional
-distribution the paper samples, computed for all inputs at once.
+input sample in a single event-driven sweep that touches only the nets the
+flip changes, so the campaign loops over (possibly subsampled) fault sites
+and maintains, per input sample, a uniform reservoir over the unmasked sites
+seen — exactly the conditional distribution the paper samples, computed for
+all inputs at once.  Per site, only the output bits the fault reached are
+read, and the affected samples are visited lowest set bit first, in
+ascending sample order.
 """
 
 from __future__ import annotations
@@ -156,8 +159,14 @@ class FaultInjector:
         ``samples`` maps input bus names to equal-length value sequences.
         ``site_count=None`` evaluates every fault site (exact conditional
         distribution); smaller counts subsample sites uniformly, which is
-        how large units stay tractable.
+        how large units stay tractable.  A count below one raises
+        :class:`InjectionError`.
         """
+        if site_count is not None and site_count < 1:
+            raise InjectionError(
+                f"site count must be positive (or None for every site), "
+                f"got {site_count}; an empty sweep would make the campaign "
+                f"vacuously masked")
         rng = random.Random(seed)
         packed = self.netlist.pack_inputs(samples)
         baseline = self.netlist.evaluate(packed)
@@ -173,37 +182,34 @@ class FaultInjector:
                         for _ in range(sample_count)]
         golden = [self.netlist.read_bus(baseline, self.output_bus, index)
                   for index in range(sample_count)]
-        output_set = set(self.output_bus)
 
         for site in sites:
             changed = self.netlist.evaluate_with_fault(packed, baseline, site)
-            if not output_set.intersection(changed):
-                continue
-            # Per-bit delta masks tell us which samples saw which flipped
-            # output bits.
+            # Per-bit delta masks, for the output bits the fault reached,
+            # tell us which samples saw which flipped output bits.
+            deltas = [(bit, changed[net] ^ baseline[net])
+                      for bit, net in enumerate(self.output_bus)
+                      if net in changed]
             affected = 0
-            deltas = []
-            for net in self.output_bus:
-                delta = changed.get(net, baseline[net]) ^ baseline[net]
-                deltas.append(delta)
+            for __, delta in deltas:
                 affected |= delta
-            index = 0
-            remaining = affected
-            while remaining:
-                if remaining & 1:
-                    pattern = 0
-                    for bit, delta in enumerate(deltas):
-                        if (delta >> index) & 1:
-                            pattern |= 1 << bit
-                    unmasked_counts[index] += 1
-                    class_counts[index][classify_severity(pattern)] += 1
-                    # Reservoir sampling: keep each unmasked site with
-                    # probability 1/n so the kept site is uniform.
-                    if rng.randrange(unmasked_counts[index]) == 0:
-                        chosen[index] = InjectionRecord(
-                            site=site, pattern=pattern, golden=golden[index])
-                remaining >>= 1
-                index += 1
+            # Lowest set bit first is ascending sample order, the order
+            # the reservoir's rng draws are defined in.
+            while affected:
+                low = affected & -affected
+                affected ^= low
+                index = low.bit_length() - 1
+                pattern = 0
+                for bit, delta in deltas:
+                    if delta & low:
+                        pattern |= 1 << bit
+                unmasked_counts[index] += 1
+                class_counts[index][classify_severity(pattern)] += 1
+                # Reservoir sampling: keep each unmasked site with
+                # probability 1/n so the kept site is uniform.
+                if rng.randrange(unmasked_counts[index]) == 0:
+                    chosen[index] = InjectionRecord(
+                        site=site, pattern=pattern, golden=golden[index])
 
         return CampaignResult(
             unit_name=self.netlist.name,

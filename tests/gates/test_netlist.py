@@ -1,11 +1,14 @@
 """Tests for the netlist IR and the bit-parallel simulator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetlistError
 from repro.gates import Netlist, Op
+from repro.inject import UNIT_ORDER, build_unit, unit_inputs
 
 
 def build_xor_chain(width=4):
@@ -150,17 +153,16 @@ class TestFaultInjection:
         changed = netlist.evaluate_with_fault(packed, baseline, a)
         assert anded not in changed  # flip of `a` masked by b == 0
 
-    def test_fanout_cone(self):
+    def test_fanout_map_follows_appended_nodes(self):
         netlist = Netlist()
         a = netlist.input_bus("a", 1)[0]
-        b = netlist.input_bus("b", 1)[0]
         left = netlist.not_(a)
-        right = netlist.not_(b)
-        join = netlist.and_(left, right)
-        netlist.set_output("out", [join])
-        cone = netlist.fanout_cone(left)
-        assert left in cone and join in cone
-        assert right not in cone
+        first = netlist.fanout_map()
+        assert first[a] == [left]
+        assert netlist.fanout_map() is first
+        right = netlist.xor(a, left)
+        assert netlist.fanout_map()[a] == [left, right]
+        assert netlist.fanout_map()[left] == [right]
 
     def test_fault_sites_exclude_inputs_and_consts(self):
         netlist = Netlist()
@@ -172,3 +174,118 @@ class TestFaultInjection:
         sites = netlist.fault_sites()
         assert g in sites and d in sites
         assert a[0] not in sites and c not in sites
+
+
+#: reference semantics of every op, written independently of the
+#: simulator: (input values, all-ones mask of the sample count) -> value
+REFERENCE_OPS = {
+    Op.CONST0: lambda x, full: 0,
+    Op.CONST1: lambda x, full: full,
+    Op.NOT: lambda x, full: ~x[0] & full,
+    Op.AND: lambda x, full: x[0] & x[1],
+    Op.OR: lambda x, full: x[0] | x[1],
+    Op.XOR: lambda x, full: x[0] ^ x[1],
+    Op.NAND: lambda x, full: ~(x[0] & x[1]) & full,
+    Op.NOR: lambda x, full: ~(x[0] | x[1]) & full,
+    Op.XNOR: lambda x, full: ~(x[0] ^ x[1]) & full,
+    Op.MUX: lambda x, full: (x[0] & x[1]) | (~x[0] & x[2]),
+    Op.DFF: lambda x, full: x[0],
+}
+
+#: Netlist method and input count of every op that has inputs
+GATE_METHODS = {
+    Op.NOT: ("not_", 1), Op.AND: ("and_", 2), Op.OR: ("or_", 2),
+    Op.XOR: ("xor", 2), Op.NAND: ("nand", 2), Op.NOR: ("nor", 2),
+    Op.XNOR: ("xnor", 2), Op.MUX: ("mux", 3), Op.DFF: ("dff", 1),
+}
+
+
+def reference_values(netlist, packed, site=None, forced=0):
+    """Full re-evaluation, with node ``site`` forced to ``forced``."""
+    full = (1 << packed.sample_count) - 1
+    values = []
+    for node_id, node in enumerate(netlist.nodes):
+        if node_id == site:
+            value = forced
+        elif node.op is Op.INPUT:
+            value = packed.values[node_id]
+        else:
+            value = REFERENCE_OPS[node.op](
+                [values[source] for source in node.inputs], full)
+        values.append(value)
+    return values
+
+
+def check_against_reference(netlist, packed, faults):
+    """``evaluate`` equals the reference, and ``evaluate_with_fault``
+    equals the reference's sparse diff against the baseline."""
+    baseline = netlist.evaluate(packed)
+    assert baseline == reference_values(netlist, packed)
+    for site, flip_mask in faults:
+        faulty = reference_values(netlist, packed, site,
+                                  baseline[site] ^ flip_mask)
+        expected = {node_id: value for node_id, value in enumerate(faulty)
+                    if value != baseline[node_id]}
+        assert netlist.evaluate_with_fault(packed, baseline, site,
+                                           flip_mask) == expected
+
+
+@st.composite
+def random_circuits(draw):
+    """A random netlist over every op, its packed inputs, and faults."""
+    netlist = Netlist("random")
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    for index, width in enumerate(widths):
+        netlist.input_bus(f"in{index}", width)
+    for bit in draw(st.lists(st.sampled_from((0, 1)), max_size=2)):
+        netlist.const(bit)
+    ops = draw(st.lists(st.sampled_from(list(GATE_METHODS)), min_size=1,
+                        max_size=40))
+    for op in ops:
+        method, arity = GATE_METHODS[op]
+        # Drawing from every earlier id makes repeats such as xor(a, a)
+        # common in small netlists.
+        inputs = [draw(st.integers(0, len(netlist) - 1))
+                  for __ in range(arity)]
+        getattr(netlist, method)(*inputs)
+    sample_count = draw(st.integers(1, 8))
+    packed = netlist.pack_inputs({
+        name: draw(st.lists(st.integers(0, (1 << len(bus)) - 1),
+                            min_size=sample_count, max_size=sample_count))
+        for name, bus in netlist.input_buses.items()})
+    full = (1 << sample_count) - 1
+    faults = draw(st.lists(st.tuples(st.integers(0, len(netlist) - 1),
+                                     st.integers(0, full)),
+                           min_size=1, max_size=6))
+    return netlist, packed, faults
+
+
+class TestReferenceOracle:
+    """Both evaluators against a plain full re-evaluation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_circuits())
+    def test_random_netlists(self, circuit):
+        check_against_reference(*circuit)
+
+    def test_repeated_inputs(self):
+        netlist = Netlist()
+        a = netlist.input_bus("a", 1)[0]
+        s = netlist.input_bus("s", 1)[0]
+        nets = [netlist.xor(a, a), netlist.and_(a, a), netlist.xnor(a, a),
+                netlist.mux(s, a, a), netlist.mux(a, a, s)]
+        netlist.set_output("out", nets)
+        packed = netlist.pack_inputs({"a": [0, 1, 0, 1], "s": [0, 0, 1, 1]})
+        faults = [(site, mask) for site in range(len(netlist))
+                  for mask in (0, 0b0101, 0b1111)]
+        check_against_reference(netlist, packed, faults)
+
+    @pytest.mark.parametrize("unit", UNIT_ORDER)
+    def test_figure10_units(self, unit):
+        netlist = build_unit(unit)
+        packed = netlist.pack_inputs(unit_inputs(unit, 16, seed=5))
+        rng = random.Random(UNIT_ORDER.index(unit))
+        full = (1 << packed.sample_count) - 1
+        faults = [(site, rng.randint(0, full))
+                  for site in rng.sample(netlist.fault_sites(), 20)]
+        check_against_reference(netlist, packed, faults)

@@ -69,6 +69,15 @@ class TestRecordIsDetected:
             record_is_detected(self.ted, pattern=0, golden=0, output_bits=32)
 
 
+@pytest.fixture(scope="module")
+def fp_mad_64_campaign():
+    """One fp-mad-64 campaign, shared by every scheme below."""
+    result = run_unit_campaign("fp-mad-64", sample_count=120, site_count=60,
+                               seed=11)
+    assert result.records, "campaign produced no unmasked records"
+    return result
+
+
 class TestDetectionOutcomesBatching:
     """The batched campaign classifier must equal per-record scalar calls."""
 
@@ -81,10 +90,8 @@ class TestDetectionOutcomesBatching:
         SecDpSwap(),
         NaiveSecDedSwap(),
     ], ids=lambda scheme: scheme.name)
-    def test_matches_record_is_detected(self, scheme):
-        result = run_unit_campaign("fp-mad-64", sample_count=120,
-                                   site_count=60, seed=11)
-        assert result.records, "campaign produced no unmasked records"
+    def test_matches_record_is_detected(self, scheme, fp_mad_64_campaign):
+        result = fp_mad_64_campaign
         batched = detection_outcomes(scheme, result)
         scalar = [record_is_detected(scheme, record.pattern, record.golden,
                                      result.output_bits)

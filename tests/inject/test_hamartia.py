@@ -1,5 +1,8 @@
 """Tests for the fault injector and campaign statistics."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import InjectionError
@@ -57,6 +60,13 @@ class TestFaultInjector:
         injector = FaultInjector(unit)
         result = injector.run({"a": [1, 2], "b": [3, 4]}, site_count=50)
         assert result.sites_evaluated == 50
+
+    @pytest.mark.parametrize("site_count", [0, -2])
+    def test_empty_or_negative_site_count_rejected(self, site_count):
+        # None sweeps every site; fewer than one site is a vacuous sweep.
+        with pytest.raises(InjectionError, match="site count must be"):
+            run_unit_campaign("fxp-add-32", sample_count=8,
+                              site_count=site_count)
 
     def test_ambiguous_output_rejected(self):
         netlist = Netlist()
@@ -159,3 +169,35 @@ class TestCampaignResultEdges:
             merge_results([])
         with pytest.raises(InjectionError):
             merge_results([empty_result(), fully_masked_result()])
+
+
+#: sha256 of the sorted-keys JSON of ``run_unit_campaign(unit, 64, 24,
+#: seed=index).to_dict()`` for each Figure 10 unit, plus fxp-add-32 over
+#: every fault site.  These are the raw Fig 10/11 counts: a change meant
+#: only to speed up fault simulation must leave them bit-identical.
+PINNED_CAMPAIGNS = {
+    ("fxp-add-32", 24, 0):
+        "105365ae1a7323dab18869d9714cfdfd8048e597b1a1fd96087d5a8ff267e13e",
+    ("fxp-mad-32", 24, 1):
+        "6a71e44fe94813ea3902489b926db4c5a29ad11bdcca33eaada47a18b7d2167c",
+    ("fp-add-32", 24, 2):
+        "7438341a571b6ae9fb8222ada74d1cddb34308b898abecd41fe682a3ca59788b",
+    ("fp-mad-32", 24, 3):
+        "6708795cb290c1f9f201b7729417f23d514711f945a92c4c934112fec55ed6f0",
+    ("fp-add-64", 24, 4):
+        "3cdbe36f70cc40633ce25b5e63f31bd8558de33f640254ff5126a681b72cfd78",
+    ("fp-mad-64", 24, 5):
+        "8a6555add76214d8f58b783bf37c61a503a4a5a863a3156fbabfc0bf1f227ae9",
+    ("fxp-add-32", None, 0):
+        "7816f220c54c34f8091058f9790330948f53869fe15396b05c57fd3fc4587764",
+}
+
+
+class TestPinnedCampaignCounts:
+    @pytest.mark.parametrize("unit,site_count,seed", list(PINNED_CAMPAIGNS),
+                             ids=str)
+    def test_counts_match_pinned_digest(self, unit, site_count, seed):
+        result = run_unit_campaign(unit, 64, site_count, seed=seed)
+        payload = json.dumps(result.to_dict(), sort_keys=True)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == PINNED_CAMPAIGNS[(unit, site_count, seed)]
