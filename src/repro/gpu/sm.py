@@ -12,11 +12,21 @@ Writes to the same register from an instruction pair (Swap-ECC's original
 and shadow) do not stall each other — the in-order pipeline retires them in
 order — but any reader waits for the *later* writeback, which is exactly
 the write-after-write dependence Section III-A describes.
+
+A warp's next instruction, its pipe and its operand-ready cycle change only
+when that warp issues: the scoreboard and issue slot are written only when
+the warp's own instruction is accounted, and its SIMT stack only by its own
+step.  Each scheduler slot therefore caches them and refetches on the
+warp's first scan after it issues.  The refetch stays lazy on purpose:
+fetching is what finds a warp's stack empty and marks it done, so fetching
+right after the issue would retire CTAs a cycle early and shift every
+cycle count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
@@ -25,7 +35,7 @@ from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState
 from repro.gpu.timing import TimingParams
-from repro.gpu.warp import Warp
+from repro.gpu.warp import KernelHalt, Warp
 
 
 @dataclass
@@ -89,9 +99,15 @@ class _Cta:
 
 
 class _Slot:
-    """Scheduler state for one resident warp."""
+    """Scheduler state for one resident warp.
 
-    __slots__ = ("warp", "cta", "reg_ready", "pred_ready", "next_free")
+    ``instruction``, ``ready`` and ``pipe`` describe the warp's next
+    instruction.  They hold from one issue to the next, so they are
+    recomputed only while ``stale`` is set, which every issue sets again.
+    """
+
+    __slots__ = ("warp", "cta", "reg_ready", "pred_ready", "next_free",
+                 "instruction", "ready", "pipe", "stale")
 
     def __init__(self, warp: Warp, cta: _Cta):
         self.warp = warp
@@ -99,6 +115,22 @@ class _Slot:
         self.reg_ready: Dict[int, int] = {}
         self.pred_ready: Dict[int, int] = {}
         self.next_free = 0
+        self.instruction: Optional[Instruction] = None
+        self.ready = 0
+        self.pipe: Optional[Pipe] = None
+        self.stale = True
+
+    def refresh(self) -> bool:
+        """Fetch the warp's next instruction; False once the warp is done."""
+        entry = self.warp.current_entry()
+        if entry is None:
+            return False
+        instruction = self.warp.kernel.instructions[entry.pc]
+        self.instruction = instruction
+        self.ready = self.ready_cycle(instruction)
+        self.pipe = instruction.spec.pipe
+        self.stale = False
+        return True
 
     def ready_cycle(self, instruction: Instruction) -> int:
         """Earliest cycle this instruction's operands are all available."""
@@ -180,33 +212,32 @@ class StreamingMultiprocessor:
         admit()
         while slots or pending:
             issued = 0
-            order = list(range(len(slots)))
-            order = order[rr_pointer:] + order[:rr_pointer]
-            for position in order:
+            for position in chain(range(rr_pointer, len(slots)),
+                                  range(rr_pointer)):
                 if issued >= self.params.issue_width:
                     break
                 slot = slots[position]
                 warp = slot.warp
                 if warp.done or warp.at_barrier:
                     continue
-                entry = warp.current_entry()
-                if entry is None:
+                if slot.stale and not slot.refresh():
                     continue
-                instruction = self.kernel.instructions[entry.pc]
-                if slot.ready_cycle(instruction) > cycle:
+                if slot.ready > cycle:
                     continue
-                pipe = instruction.spec.pipe
-                if min(pipe_free[pipe]) > cycle:
+                if min(pipe_free[slot.pipe]) > cycle:
                     continue
-                info = warp.step()
-                if info is None:
-                    continue
+                try:
+                    info = warp.step()
+                except KernelHalt:
+                    # The halting instruction issued in this cycle.
+                    self.stats.cycles = cycle + 1
+                    raise
+                slot.stale = True
                 issued += 1
                 if self.watchdog is not None:
                     self.watchdog.tick(slot.cta.cta_index, warp.warp_index)
-                rr_pointer = (position + 1) % max(len(slots), 1)
-                self._account(slot, instruction, info, pipe, pipe_free,
-                              cycle)
+                rr_pointer = (position + 1) % len(slots)
+                self._account(slot, info, pipe_free, cycle)
                 if info.barrier:
                     slot.cta.barrier_release()
 
@@ -231,9 +262,10 @@ class StreamingMultiprocessor:
         return cycle
 
     # ------------------------------------------------------------------
-    def _account(self, slot: _Slot, instruction: Instruction, info,
-                 pipe: Pipe, pipe_free: Dict[Pipe, List[int]],
-                 cycle: int) -> None:
+    def _account(self, slot: _Slot, info,
+                 pipe_free: Dict[Pipe, List[int]], cycle: int) -> None:
+        instruction = slot.instruction
+        pipe = slot.pipe
         spec = instruction.spec
         interval = spec.initiation_interval
         latency = spec.latency
@@ -272,13 +304,9 @@ class StreamingMultiprocessor:
             warp = slot.warp
             if warp.done or warp.at_barrier:
                 continue
-            entry = warp.current_entry()
-            if entry is None:
+            if slot.stale and not slot.refresh():
                 continue
-            instruction = self.kernel.instructions[entry.pc]
-            ready = slot.ready_cycle(instruction)
-            ready = max(ready, min(pipe_free[instruction.spec.pipe]))
-            candidates.append(ready)
+            candidates.append(max(slot.ready, min(pipe_free[slot.pipe])))
         if not candidates:
             barriers = [slot for slot in slots
                         if not slot.warp.done and slot.warp.at_barrier]

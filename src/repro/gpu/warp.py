@@ -134,8 +134,7 @@ class Warp:
             if top.reconv is not None and top.pc == top.reconv:
                 self.stack.pop()
                 continue
-            mask = top.mask & self.alive
-            if not mask.any():
+            if not np.count_nonzero(top.mask & self.alive):
                 self.stack.pop()
                 continue
             if top.pc >= len(self.kernel.instructions):
@@ -349,7 +348,8 @@ class Warp:
         else:
             exec_mask = active
 
-        info = StepInfo(instruction, pc, int(exec_mask.sum()))
+        lanes = int(np.count_nonzero(exec_mask))
+        info = StepInfo(instruction, pc, lanes)
         op = instruction.op
         spec = instruction.spec
 
@@ -365,7 +365,7 @@ class Warp:
             info.barrier = True
         elif op == "BPT":
             entry.pc = pc + 1
-            if exec_mask.any():
+            if lanes:
                 self.resilience.record("trap", self.cta_index,
                                        self.warp_index, pc, "BPT")
                 if self.resilience.halt_on_detect:
@@ -374,12 +374,12 @@ class Warp:
             entry.pc = pc + 1
         else:
             entry.pc = pc + 1
-            if exec_mask.any():
+            if lanes:
                 self._last_segments = ()
                 info.transactions = self._exec_data(instruction, exec_mask)
                 info.segments = self._last_segments
 
-        if spec.writes_dest and exec_mask.any() \
+        if spec.writes_dest and lanes \
                 and spec.pipe.value in DATAPATH_PIPES:
             self.datapath_counter += 1
         if self.observer is not None:

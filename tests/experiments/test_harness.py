@@ -1,15 +1,20 @@
 """Tests for the experiment harnesses (tiny-scale shape checks)."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import (TABLE_I, TABLE_II, figure11_schemes,
                                render_figure10, render_figure11,
                                render_figure14, render_mix_table,
                                render_slowdown_table, run_injection_study,
-                               run_performance_study, run_power_study,
-                               run_scheme, table_iii, table_iv_rows)
+                               run_matrix, run_performance_study,
+                               run_power_study, run_scheme, table_iii,
+                               table_iv_rows)
 from repro.gpu.power import PowerModel
-from repro.workloads import get_workload
+from repro.workloads import ALL_ORDER, get_workload
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +92,37 @@ class TestPowerHarness:
         model = PowerModel()
         assert model.estimate(result(2000)).watts > \
             model.estimate(result(100)).watts
+
+
+#: sha256 of the sorted-keys JSON of every cell of
+#: ``run_matrix(<ALL_ORDER but matmul>, ("baseline", "swap-ecc",
+#: "interthread"), scale=0.05, seed=0)``: cycles, simulated seconds,
+#: verified and rejected flags, occupancy, mix counts and the power
+#: floats' reprs.  A change meant only to speed up the SM timing model
+#: must leave it bit-identical.
+PINNED_TIMING_GRID = \
+    "8a3f98be6f22fd80c0591ca77c76247ae4a98dd42b925be88823b6941089f1be"
+
+
+class TestPinnedTimingModel:
+    def test_grid_matches_pinned_digest(self):
+        workloads = tuple(name for name in ALL_ORDER if name != "matmul")
+        grid = run_matrix(workloads, ("baseline", "swap-ecc", "interthread"),
+                          scale=0.05, seed=0)
+        raw = {workload: {scheme: {
+            "cycles": run.cycles, "seconds": run.seconds,
+            "verified": run.verified, "rejected": run.rejected,
+            "warps_per_sm": run.warps_per_sm,
+            "registers_per_thread": run.registers_per_thread,
+            "mix": dataclasses.asdict(run.mix),
+            "power": [repr(run.power.seconds),
+                      repr(run.power.dynamic_joules),
+                      repr(run.power.static_watts)]}
+            for scheme, run in runs.items()}
+            for workload, runs in grid.items()}
+        payload = json.dumps(raw, sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == \
+            PINNED_TIMING_GRID
 
 
 class TestStaticTables:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gpu import (Device, LaunchConfig, MemorySpace, TimingParams,
-                       assemble)
+from repro.gpu import (Device, LaunchConfig, MemorySpace, ResilienceState,
+                       TimingParams, assemble)
 from repro.gpu.power import PowerModel
 
 
@@ -67,3 +67,28 @@ class TestDeviceLaunch:
         assert estimate.watts > 60.0  # above static floor
         assert estimate.joules == pytest.approx(
             estimate.watts * result.seconds)
+
+    def test_halted_launch_reports_cycles_up_to_the_halt(self):
+        kernel = assemble("trap", """
+            S2R R0, SR_TID
+            IADD R0, R0, 1
+            IADD R0, R0, 1
+            IADD R0, R0, 1
+            IADD R0, R0, 1
+            IADD R0, R0, 1
+            IADD R0, R0, 1
+            BPT
+            EXIT
+        """)
+
+        def launch(halt_on_detect):
+            return Device().launch(
+                kernel, LaunchConfig(1, 64), MemorySpace(64),
+                resilience=ResilienceState(halt_on_detect=halt_on_detect))
+
+        halted = launch(True)
+        full = launch(False)
+        assert halted.halted == "trap"
+        assert full.halted is None
+        assert 0 < halted.cycles <= full.cycles
+        assert halted.seconds > 0
