@@ -44,7 +44,7 @@ from datetime import datetime, timezone
 from typing import Callable, Dict, Sequence
 
 SCHEMA = "swapcodes-bench-codec/1"
-SIM_SCHEMA = "swapcodes-bench-sim/1"
+SIM_SCHEMA = "swapcodes-bench-sim/2"
 
 #: workloads timed by the simulator benchmark: the two bench
 #: micro-kernels plus three paper programs spanning the instruction mix
@@ -231,18 +231,22 @@ def bench_sim_workloads(names: Sequence[str], trials: int,
             "batched_trials_per_s": batched_rate,
             "speedup": batched_rate / scalar_rate,
             "fallbacks": report["payload"]["fallbacks"],
+            "fired": report["trials"],
+            "not_hit": report["counts"]["not_hit"],
         }
     return rows
 
 
 def bench_sim_campaign(samples: int, trial_batch: int,
                        seed: int) -> Dict[str, float]:
-    """The BENCH_sim headline: engine GPU-campaign trials/s on saxpy.
+    """The BENCH_sim headline: an engine GPU campaign on saxpy.
 
     The simulator analogue of :func:`bench_campaign`'s gate row — a
     small kernel where per-trial overhead, not kernel length, sets the
-    rate.  A short warm-up batch runs first so one-time costs (kernel
-    compile, codec table construction) stay out of the timed region.
+    rate.  ``samples_per_s`` counts every drawn fault plan;
+    ``fired_per_s`` only the ``trials`` whose fault fired.  A short
+    warm-up batch runs first so one-time costs (kernel compile, codec
+    table construction) stay out of the timed region.
     """
     from repro.inject.engine import BatchSpec, run_gpu_batch
 
@@ -264,7 +268,8 @@ def bench_sim_campaign(samples: int, trial_batch: int,
         "trial_batch": trial_batch,
         "trials": payload["trials"],
         "seconds": seconds,
-        "trials_per_s": samples / seconds if seconds else 0.0,
+        "samples_per_s": samples / seconds if seconds else 0.0,
+        "fired_per_s": payload["trials"] / seconds if seconds else 0.0,
     }
 
 
@@ -332,18 +337,20 @@ def summarize_sim(report: Dict) -> str:
     lines = [f"simulator benchmark ({report['generated']}, "
              f"smoke={report['config']['smoke']})"]
     lines.append(f"{'workload':<12} {'scalar t/s':>12} {'batched t/s':>12} "
-                 f"{'speedup':>9}")
+                 f"{'speedup':>9} {'fired':>6} {'not_hit':>8}")
     for name in SIM_WORKLOADS:
         row = report["workloads"][name]
         lines.append(f"{name:<12} {row['scalar_trials_per_s']:>12.0f} "
                      f"{row['batched_trials_per_s']:>12.0f} "
-                     f"{row['speedup']:>8.1f}x")
+                     f"{row['speedup']:>8.1f}x {row['fired']:>6d} "
+                     f"{row['not_hit']:>8d}")
     campaign = report["campaign"]
     lines.append(
         f"campaign ({campaign['workload']}, {campaign['compile_scheme']}, "
-        f"batch {campaign['trial_batch']}): {campaign['samples']} trials "
-        f"in {campaign['seconds']:.2f}s "
-        f"({campaign['trials_per_s']:.0f} trials/s)")
+        f"batch {campaign['trial_batch']}): {campaign['samples']} samples, "
+        f"{campaign['trials']} fired, in {campaign['seconds']:.2f}s "
+        f"({campaign['samples_per_s']:.0f} samples/s, "
+        f"{campaign['fired_per_s']:.0f} fired/s)")
     return "\n".join(lines)
 
 
@@ -390,9 +397,9 @@ def compare(old_path: str, new_path: str) -> str:
             after = new["workloads"][name]["batched_trials_per_s"]
             lines.append(f"{name:<14} batched       {after / before:>6.2f}x "
                          f"of prior run")
-        before = old["campaign"]["trials_per_s"]
-        after = new["campaign"]["trials_per_s"]
-        lines.append(f"campaign       trials/s      {after / before:>6.2f}x "
+        before = old["campaign"]["fired_per_s"]
+        after = new["campaign"]["fired_per_s"]
+        lines.append(f"campaign       fired/s       {after / before:>6.2f}x "
                      f"of prior run")
         return "\n".join(lines)
     for name in sorted(set(old["codes"]) & set(new["codes"])):

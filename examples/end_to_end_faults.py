@@ -18,6 +18,10 @@ engine: trials run in a crash-isolated worker, results stream to an
 optional ``--journal`` checkpoint (rerun the same command to resume), and
 the detection rate is reported with its Wilson 95% confidence interval.
 
+Exits 1 when a unit's worker fails or when a SwapCodes scheme
+(``swap-ecc``, ``pre-mad``) lets any SDC through — the paper's
+guarantee that no single-bit pipeline error escapes.
+
 Usage::
 
     python examples/end_to_end_faults.py [workload] [trials]
@@ -25,10 +29,13 @@ Usage::
 """
 
 import argparse
+import sys
 
 from repro.inject import CampaignEngine, EngineConfig, gpu_work_unit
 
 SCHEMES = ("baseline", "swdup", "swap-ecc", "pre-mad")
+#: schemes that must never bin an SDC
+NO_SDC = ("swap-ecc", "pre-mad")
 
 
 def main():
@@ -58,6 +65,7 @@ def main():
               f"{'sdc':>5s} {'masked':>7s} {'not-hit':>8s} "
               f"{'hang':>5s} {'detection rate (95% CI)':>28s}")
     print(header)
+    failures = []
     for unit in units:
         result = report.units[unit.unit_id]
         counts = result.counts
@@ -65,6 +73,9 @@ def main():
         label = str(result.estimate) if result.trials else "n/a"
         if result.failed:
             label = f"worker {result.status}: {result.detail[:40]}"
+            failures.append(f"{scheme} worker {result.status}")
+        elif scheme in NO_SDC and counts["sdc"]:
+            failures.append(f"{scheme} binned {counts['sdc']} SDC(s)")
         print(f"{scheme:12s} {counts['due']:5d} {counts['trap']:5d} "
               f"{counts['crash']:6d} {counts['sdc']:5d} "
               f"{counts['masked']:7d} {counts['not_hit']:8d} "
@@ -73,9 +84,16 @@ def main():
         recovered = sum(report.units[u.unit_id].counts["recovered"]
                         for u in units)
         print(f"\nrecovered-from-checkpoint confirmations: {recovered}")
-    print("\nexpectation: the unprotected baseline shows SDCs; SW-Dup and "
-          "the SwapCodes variants detect (or mask) everything.")
+    print("\nexpectation: the unprotected baseline shows SDCs; the "
+          "SwapCodes variants (swap-ecc, pre-mad) detect, correct or mask "
+          "every single-bit pipeline error. SW-Dup can let SDCs through: "
+          "it copies S2R results into the shadow with a MOV, and covers "
+          "control flow only incidentally.")
+    if failures:
+        print("FAILED: " + "; ".join(failures))
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -431,8 +431,7 @@ def _cross_check(kernel, launch, instance, mode, scheme_code, plan,
                         [fresh_state()], max_steps=max_steps)
     tensor_bin = result.outcomes[0]
     if tensor_bin == "fallback":
-        reasons = getattr(result, "fallback_reasons", None) or [None]
-        return f"skipped (tensor fallback: {reasons[0]})"
+        return f"skipped (tensor fallback: {result.fallback_reasons[0]})"
     tensor_state = result.states[0]
     tensor_sig = {
         "outcome": tensor_bin,

@@ -3,64 +3,66 @@
 The scalar executor (:mod:`repro.gpu.warp` / :mod:`repro.gpu.device`)
 runs one fault trial per kernel launch, which leaves campaign throughput
 dominated by per-instruction Python overhead.  This module amortizes
-that overhead across a whole *batch* of independent trials: a
-:class:`TrialWarp` stacks the 32-lane state of ``trials`` runs into one
-``(trials * 32,)``-wide virtual warp that decodes each instruction once
-and executes it for every trial with a single numpy operation.
+that overhead across a whole *sweep* of trials: a :class:`TrialWarp`
+stacks 32-lane *blocks* into one ``(blocks * 32,)``-wide virtual warp
+that decodes each instruction once and executes it for every block with
+a single numpy operation.
+
+A trial is bit for bit the fault-free run until its fault fires, so it
+needs no lanes of its own before then.  A sweep holds block 0 for the
+fault-free run (*golden*) plus one block per fired, still-running
+trial.  A trial *forks* at the start of the step its plan is due: its
+block copies golden's registers, predicates, SIMT masks, memory and
+step count, and that step's writeback strikes it.  A fork whose strike
+does not fire is released after the step; a trial that finishes keeps
+its outcome, step count and memory image and frees its block for reuse.
+Trials that never fork inherit golden's result, and golden retires once
+every trial has fired.
 
 The design invariant is **exact per-trial equivalence with the scalar
-oracle**: restricting a batched run to one trial's 32 lanes must
-reproduce that trial's scalar execution step for step — same register
-values, same memory image, same detection events, same outcome bin.
-The pieces that make that hold:
+oracle**: restricting a sweep to one trial's lanes must reproduce that
+trial's scalar execution step for step — same register values, same
+memory image, same detection events, same outcome bin.  The pieces that
+make that hold:
 
-* **Shared instruction stream, stacked masks.**  All trials share one
-  pc and one SIMT reconvergence stack whose masks are
-  ``(trials * 32,)`` boolean vectors; divergence pushes entries whose
-  masks carry the union of every trial's lanes on that path, and a
-  trial simply has no active lanes in steps its scalar run would not
-  execute.  Instruction semantics inherit unchanged from
-  :class:`~repro.gpu.warp.Warp` — they are already width-agnostic.
-* **Per-trial memory.**  :class:`TrialMemory` tiles the launch image
-  ``trials`` times in one flat uint32 array and offsets every lane's
-  address by its trial's base, so stores never leak across trials and
-  out-of-bounds accesses crash only the offending trial.
-* **Per-trial fault state.**  Each trial carries its own
-  :class:`~repro.gpu.resilience.ResilienceState` (and fault plan);
-  strikes route through the same
-  :func:`~repro.gpu.warp.apply_fault_strike` the scalar path uses, on
-  the firing trial's 32-lane slice.
-* **Per-trial termination.**  A detected DUE/trap, a hang (per-trial
-  step budget), or a crash (out-of-bounds access, running off the end)
-  removes exactly that trial's lanes from the batch, launch-wide, while
-  every other trial continues.  Mid-instruction halts suppress the
-  halted trial's remaining writes, mirroring how a scalar
-  :class:`~repro.gpu.warp.KernelHalt` aborts before them.
-* **Scalar fallback flagging.**  The one construct a shared stack
-  cannot replay per trial is a barrier some trials reach while others
-  are elsewhere (cross-trial divergent ``BAR`` arrival).  Such trials —
-  and all live trials of a batch that deadlocks or dies at union level
-  — are flagged ``"fallback"`` instead of guessed at; the injection
-  engine reruns them through the scalar oracle, so the batch result is
-  exact in every case and merely slower in the degenerate ones.
+* **Shared instruction stream, stacked masks.**  All blocks share one
+  pc and one SIMT reconvergence stack whose masks carry the union of
+  every block's lanes on a path; a block simply has no active lanes in
+  steps its scalar run would not execute.  Instruction semantics inherit
+  unchanged from :class:`~repro.gpu.warp.Warp`.
+* **Per-block memory and fault state.**  :class:`TrialMemory` offsets
+  every lane's address into its block's own image; each trial carries
+  its own :class:`~repro.gpu.resilience.ResilienceState`, and strikes
+  route through the scalar path's
+  :func:`~repro.gpu.warp.apply_fault_strike` on the fork's lanes.
+* **Per-trial termination.**  A DUE/trap, a hang (per-trial step
+  budget), or a crash (out-of-bounds access, running off the end)
+  removes exactly that block's lanes, launch-wide; mid-instruction halts
+  suppress the block's remaining writes, as a scalar
+  :class:`~repro.gpu.warp.KernelHalt` does.
+* **Scalar fallback flagging.**  A barrier some blocks reach while
+  others are elsewhere (cross-trial divergent ``BAR`` arrival) cannot be
+  replayed on one shared stack.  Such trials — and all running trials of
+  a sweep that deadlocks or dies at union level — are flagged
+  ``"fallback"``; the injection engine reruns them through the scalar
+  oracle, so the sweep result is exact in every case.
 
-Dtype/shape contracts: register state is ``(registers, trials * 32)``
-uint32, predicates ``(8, trials * 32)`` bool, per-trial counters are
-``(trials,)`` int64, and every mask handed to an execution method is a
-``(trials * 32,)`` bool whose trial ``t`` occupies flat lanes
-``[32 * t, 32 * (t + 1))``.
+Shapes: registers ``(registers, blocks * 32)`` uint32, predicates
+``(8, blocks * 32)`` bool, masks ``(blocks * 32,)`` bool with block
+``b`` on flat lanes ``[32 * b, 32 * (b + 1))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+import copy
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ecc.vectorized import READ_CORRECTED, READ_DUE
 from repro.errors import SimulationError
-from repro.gpu.isa import PT, WARP_SIZE, Instruction, OperandKind
+from repro.gpu.isa import WARP_SIZE, Instruction, OperandKind
 from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState, TaintTracker
@@ -74,52 +76,93 @@ TRIAL_HANG = "hang"        #: exceeded its per-trial step budget
 TRIAL_CRASH = "crash"      #: out-of-bounds access or ran off the end
 TRIAL_FALLBACK = "fallback"  #: needs a scalar rerun for exactness
 
+#: the block the fault-free (golden) run occupies
+GOLDEN = 0
+
+_GOLDEN_LANES = slice(0, WARP_SIZE)
+
+
+def _widen(lanes: np.ndarray, width: int) -> np.ndarray:
+    """``lanes`` zero-padded along its last axis to ``width``."""
+    wide = np.zeros(lanes.shape[:-1] + (width,), dtype=lanes.dtype)
+    wide[..., :lanes.shape[-1]] = lanes
+    return wide
+
+
+def _block_lanes(block: int) -> slice:
+    """The flat lanes of ``block``."""
+    return slice(block * WARP_SIZE, (block + 1) * WARP_SIZE)
+
 
 class TrialMemory:
-    """``trials`` private copies of one memory image in a flat array.
+    """One memory image per lane block, in one flat uint32 array.
 
-    Lane ``l`` of the batched warp addresses words of trial ``l // 32``
+    Lane ``l`` of the batched warp addresses words of block ``l // 32``
     only: every gather/scatter/atomic offsets the lane's word address by
-    ``(l // 32) * words_per_trial``.  Addresses are per-trial word
+    ``(l // 32) * words_per_block``.  Addresses are per-block word
     indices (uint32), exactly as the scalar
-    :class:`~repro.gpu.memory.MemorySpace` sees them.
+    :class:`~repro.gpu.memory.MemorySpace` sees them.  ``images`` holds
+    each finished trial's final image, which :meth:`image_of` and
+    :meth:`space_of` serve per trial.
 
-    Bounds are *not* checked here — callers run :meth:`oob_trials`
-    first and crash the offending trials, so by the time an access
+    Bounds are *not* checked here — callers run :meth:`oob_blocks`
+    first and crash the offending blocks, so by the time an access
     lands every masked lane is in range.
     """
 
-    def __init__(self, image: np.ndarray, trials: int,
+    def __init__(self, image: np.ndarray, blocks: int,
                  name: str = "global"):
         image = np.asarray(image, dtype=np.uint32)
         if image.size == 0:
             raise SimulationError(f"{name}: empty memory image")
         self.name = name
-        self.trials = trials
-        self.words_per_trial = len(image)
-        self.words = np.tile(image, trials)
+        self.words_per_block = len(image)
+        self.words = np.tile(image, blocks)
+        self.images: Dict[int, np.ndarray] = {}
+        self._index(blocks)
+
+    def _index(self, blocks: int) -> None:
+        self.blocks = blocks
         self._offsets = np.repeat(
-            np.arange(trials, dtype=np.int64) * self.words_per_trial,
+            np.arange(blocks, dtype=np.int64) * self.words_per_block,
             WARP_SIZE)
 
-    def oob_trials(self, parts: Sequence[np.ndarray],
+    def _words_of(self, block: int) -> slice:
+        base = block * self.words_per_block
+        return slice(base, base + self.words_per_block)
+
+    def grow(self, blocks: int) -> None:
+        """Widen to ``blocks`` blocks; new ones stay zero until forked."""
+        self.words = _widen(self.words, blocks * self.words_per_block)
+        self._index(blocks)
+
+    def fork(self, block: int) -> None:
+        """Overwrite ``block``'s image with golden's."""
+        self.words[self._words_of(block)] = \
+            self.words[self._words_of(GOLDEN)]
+
+    def keep(self, block: int, trial: int) -> None:
+        """Record ``block``'s image now as ``trial``'s final image."""
+        self.images[trial] = self.words[self._words_of(block)].copy()
+
+    def oob_blocks(self, parts: Sequence[np.ndarray],
                    mask: np.ndarray) -> np.ndarray:
-        """Trial indices with any masked address outside the trial image.
+        """Blocks with any masked address outside the block image.
 
         ``parts`` are the per-lane address vectors of each 32-bit part
         of the access (one for narrow, two for wide); the scalar oracle
         raises :class:`~repro.errors.SimulationError` for these, so the
-        batched executor bins the trials as crashed.
+        batched executor bins the blocks' trials as crashed.
         """
-        bad = np.zeros(self.trials, dtype=bool)
+        bad = np.zeros(self.blocks, dtype=bool)
         for part in parts:
-            lane_bad = mask & (part >= self.words_per_trial)
+            lane_bad = mask & (part >= self.words_per_block)
             if lane_bad.any():
-                bad |= lane_bad.reshape(self.trials, WARP_SIZE).any(axis=1)
+                bad |= lane_bad.reshape(self.blocks, WARP_SIZE).any(axis=1)
         return np.nonzero(bad)[0]
 
     def gather(self, addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Masked per-lane load (trial-offset); inactive lanes read zero."""
+        """Masked per-lane load (block-offset); inactive lanes read zero."""
         result = np.zeros(len(addresses), dtype=np.uint32)
         if mask.any():
             flat = addresses.astype(np.int64) + self._offsets
@@ -137,10 +180,10 @@ class TrialMemory:
                mask: np.ndarray) -> np.ndarray:
         """Per-lane read-modify-write in flat lane order; returns olds.
 
-        Flat lane order is trial-major with lanes ascending inside each
-        trial, so each trial's restriction serializes exactly like the
+        Flat lane order is block-major with lanes ascending inside each
+        block, so each block's restriction serializes exactly like the
         scalar :meth:`~repro.gpu.memory.MemorySpace.atomic` while
-        different trials touch disjoint words.
+        different blocks touch disjoint words.
         """
         result = np.zeros(len(addresses), dtype=np.uint32)
         flat = addresses.astype(np.int64) + self._offsets
@@ -164,8 +207,7 @@ class TrialMemory:
 
     def image_of(self, trial: int) -> np.ndarray:
         """Trial ``trial``'s final memory image, as a fresh uint32 copy."""
-        base = trial * self.words_per_trial
-        return self.words[base:base + self.words_per_trial].copy()
+        return self.images[trial].copy()
 
     def space_of(self, trial: int) -> MemorySpace:
         """Trial ``trial``'s image wrapped as a scalar MemorySpace.
@@ -174,77 +216,180 @@ class TrialMemory:
         ever see one trial's words, shaped exactly like a scalar run's
         global memory.
         """
-        space = MemorySpace(self.words_per_trial, name=self.name)
-        space.words[:] = self.image_of(trial)
+        space = MemorySpace(self.words_per_block, name=self.name)
+        space.words[:] = self.images[trial]
         return space
 
 
 class TrialBatch:
-    """Liveness, outcomes, and step budgets of one batch of trials.
+    """The block layout, liveness, outcomes and step budgets of a sweep.
 
-    One instance spans the whole launch (all CTAs): per-trial step
+    One instance spans the whole launch (all CTAs): per-block step
     counters accumulate across CTAs exactly as the scalar watchdog's
-    global budget does, and a terminated trial stays terminated in every
-    later CTA.  ``lanes_live`` is the ``(trials * 32,)`` expansion of
-    the ``(trials,)`` ``live`` flags that execution masks AND against.
+    global budget does.  Block :data:`GOLDEN` runs the fault-free launch;
+    every other block is free or ``owner``-ed by one trial.
+    ``lanes_live`` is the ``(blocks * 32,)`` expansion of the
+    ``(blocks,)`` ``live`` flags that execution masks AND against.
+    Per-trial records carry one extra slot, index ``trials``, for golden.
+    ``warps`` and ``shared`` are the current CTA's.
     """
 
-    def __init__(self, trials: int, max_steps: Optional[int]):
-        if trials < 1:
-            raise SimulationError(f"need at least one trial, got {trials}")
+    def __init__(self, states: Sequence[ResilienceState],
+                 image: np.ndarray, max_steps: Optional[int]):
+        if not states:
+            raise SimulationError("run_trials needs at least one trial state")
+        trials = len(states)
+        first = states[0]
+        golden = ResilienceState(mode=first.mode, scheme=first.scheme,
+                                 halt_on_detect=first.halt_on_detect)
         self.trials = trials
         self.max_steps = max_steps
-        self.live = np.ones(trials, dtype=bool)
-        self.lanes_live = np.ones(trials * WARP_SIZE, dtype=bool)
-        self.outcomes: List[Optional[str]] = [None] * trials
+        self.states = list(states) + [golden]
+        self.outcomes: List[Optional[str]] = [None] * (trials + 1)
         #: why a trial fell back to the scalar oracle (None for trials
         #: that got a tensor verdict): ``divergent_barrier``,
         #: ``union_error``, or ``union_deadlock``
-        self.fallback_reasons: List[Optional[str]] = [None] * trials
-        self.steps = np.zeros(trials, dtype=np.int64)
+        self.fallback_reasons: List[Optional[str]] = [None] * (trials + 1)
+        self.steps = np.zeros(trials + 1, dtype=np.int64)
+        #: trials whose fault has not fired, so whose run is golden's
+        self.following = trials
+        #: (cta, warp) -> {golden datapath occurrence -> due trials}
+        self.pending: Dict[tuple, Dict[int, List[int]]] = {}
+        for trial, state in enumerate(states):
+            plan = state.fault
+            if plan is not None:
+                self.pending.setdefault(
+                    (plan.cta_index, plan.warp_index), {}).setdefault(
+                        plan.occurrence, []).append(trial)
 
-    def finish(self, trial: int, outcome: str,
-               reason: Optional[str] = None) -> None:
-        """Terminate ``trial`` with ``outcome``; its lanes vanish batch-wide."""
-        if not self.live[trial]:
+        self.blocks = 1
+        self.owner: List[Optional[int]] = [trials]
+        self.free: List[int] = []
+        self.live = np.ones(1, dtype=bool)
+        self.lanes_live = np.ones(WARP_SIZE, dtype=bool)
+        self.block_steps = np.zeros(1, dtype=np.int64)
+        self.memory = TrialMemory(image, 1)
+        self.shared: Optional[TrialMemory] = None
+        self.warps: List["TrialWarp"] = []
+
+    def _holders(self) -> list:
+        """Everything with lane blocks: the CTA's warps and memories."""
+        spaces = [self.memory, self.shared] if self.shared else [self.memory]
+        return self.warps + spaces
+
+    def fork(self, trial: int) -> int:
+        """Give ``trial`` a block copying golden's lanes; returns it."""
+        if not self.free:
+            self._grow()
+        block = self.free.pop()
+        for holder in self._holders():
+            holder.fork(block)
+        self.owner[block] = trial
+        self.live[block] = True
+        self.lanes_live[_block_lanes(block)] = True
+        self.block_steps[block] = self.block_steps[GOLDEN]
+        self.states[trial].events = self._golden_events()
+        return block
+
+    def _golden_events(self) -> list:
+        return [copy.copy(event) for event in self.states[self.trials].events]
+
+    def _grow(self) -> None:
+        """Double every lane array; the new blocks join the free list."""
+        blocks = 2 * self.blocks
+        self.live = _widen(self.live, blocks)
+        self.lanes_live = _widen(self.lanes_live, blocks * WARP_SIZE)
+        self.block_steps = _widen(self.block_steps, blocks)
+        self.owner += [None] * (blocks - self.blocks)
+        self.free = list(range(blocks - 1, self.blocks - 1, -1))
+        for holder in self._holders():
+            holder.grow(blocks)
+        self.blocks = blocks
+
+    def settle(self, trial: int, block: int) -> None:
+        """After a fork's due step: keep it if its strike fired.
+
+        A strike does not fire when its lane is inactive, a storage
+        strike lands on a shadow, or the write goes to RZ; the fork is
+        then released and its trial follows golden again.  Once no
+        trial follows golden, golden retires.
+        """
+        if not self.states[trial].fault_fired:
+            if self.live[block]:
+                self._release(block)
             return
-        self.live[trial] = False
+        self.following -= 1
+        if not self.following:
+            self.finish(GOLDEN, TRIAL_OK)
+
+    def _release(self, block: int) -> None:
+        self.live[block] = False
+        self.lanes_live[_block_lanes(block)] = False
+        if block != GOLDEN:
+            self.owner[block] = None
+            self.free.append(block)
+
+    def finish(self, block: int, outcome: str,
+               reason: Optional[str] = None) -> None:
+        """End ``block``'s trial with ``outcome``; its lanes vanish."""
+        if not self.live[block]:
+            return
+        trial = self.owner[block]
         self.outcomes[trial] = outcome
         if outcome == TRIAL_FALLBACK:
             self.fallback_reasons[trial] = reason
-        base = trial * WARP_SIZE
-        self.lanes_live[base:base + WARP_SIZE] = False
+        self.steps[trial] = self.block_steps[block]
+        self.memory.keep(block, trial)
+        self._release(block)
 
     def finish_live(self, outcome: str,
                     reason: Optional[str] = None) -> None:
-        """Terminate every still-running trial with ``outcome``."""
-        for trial in np.nonzero(self.live)[0]:
-            self.finish(int(trial), outcome, reason)
+        """End every still-running block with ``outcome``."""
+        for block in np.nonzero(self.live)[0]:
+            self.finish(int(block), outcome, reason)
 
-    def tick(self, trial_active: np.ndarray) -> None:
-        """Account one executed step for the active, still-live trials.
+    def tick(self, block_active: np.ndarray) -> None:
+        """Account one executed step for the active, still-live blocks.
 
         Mirrors the scalar :meth:`~repro.gpu.watchdog.Watchdog.tick`
-        discipline: a trial halted *during* the step does not tick it
-        (the scalar run aborts before the tick), and a trial pushed past
+        discipline: a block halted *during* the step does not tick it
+        (the scalar run aborts before the tick), and a block pushed past
         ``max_steps`` finishes as a hang — the
         :class:`~repro.errors.HangError` bin of the scalar path.
         """
-        ticking = trial_active & self.live
-        if not ticking.any():
-            return
-        self.steps[ticking] += 1
-        if self.max_steps is not None:
-            hung = ticking & (self.steps > self.max_steps)
-            for trial in np.nonzero(hung)[0]:
-                self.finish(int(trial), TRIAL_HANG)
+        ticking = block_active & self.live
+        self.block_steps += ticking
+        if self.max_steps is not None \
+                and self.block_steps.max() > self.max_steps:
+            hung = ticking & (self.block_steps > self.max_steps)
+            for block in np.nonzero(hung)[0]:
+                self.finish(int(block), TRIAL_HANG)
+
+    def result(self) -> "TrialRunResult":
+        """Close the sweep: per-trial records, golden's for followers."""
+        self.finish_live(TRIAL_OK)
+        golden = self.trials
+        for trial in range(self.trials):
+            if self.outcomes[trial] is None:
+                self.outcomes[trial] = self.outcomes[golden]
+                self.fallback_reasons[trial] = \
+                    self.fallback_reasons[golden]
+                self.steps[trial] = self.steps[golden]
+                self.memory.images[trial] = self.memory.images[golden]
+                self.states[trial].events = self._golden_events()
+        return TrialRunResult(outcomes=self.outcomes[:golden],
+                              states=self.states[:golden],
+                              steps=self.steps[:golden],
+                              memory=self.memory,
+                              fallback_reasons=(
+                                  self.fallback_reasons[:golden]))
 
 
 class _IndexedWords(dict):
     """Taint-word map with a register → lanes index kept in sync.
 
     The scalar tracker scans its (tiny) word map per register access;
-    a batched warp can carry one taint per struck trial — thousands —
+    a batched warp can carry one taint per struck block — dozens —
     so every mutation path of :class:`~repro.gpu.resilience.TaintTracker`
     (``words[key] = ...``, ``words.pop(key)``) maintains the index here
     and :meth:`TrialWarp._tainted_lanes_of` becomes one dict lookup.
@@ -270,6 +415,12 @@ class _IndexedWords(dict):
             self._drop(key)
         return value
 
+    def drop_lanes(self, lanes: slice) -> None:
+        """Forget every taint on a flat lane in ``lanes``."""
+        for key in [key for key in self
+                    if lanes.start <= key[1] < lanes.stop]:
+            del self[key]
+
     def _drop(self, key):
         lanes = self.by_register.get(key[0])
         if lanes is not None:
@@ -278,133 +429,90 @@ class _IndexedWords(dict):
                 del self.by_register[key[0]]
 
 
-class _OffsetTaint:
-    """Adapter translating one trial's local lanes to flat taint keys.
-
-    :func:`~repro.gpu.warp.apply_fault_strike` speaks scalar lane
-    indices (0..31); the batched warp's :class:`TaintTracker` keys lanes
-    flat.  This exposes exactly the taint methods the strike path calls,
-    offsetting each lane by the firing trial's base.
-    """
-
-    def __init__(self, taint: TaintTracker, base: int):
-        self._taint = taint
-        self._base = base
-
-    def taint_original(self, register: int, lane: int,
-                       bad_value: int) -> None:
-        """Delegate with the trial-offset lane."""
-        self._taint.taint_original(register, lane + self._base, bad_value)
-
-    def taint_data_with_true_check(self, register: int, lane: int,
-                                   bad_value: int, true_value: int) -> None:
-        """Delegate with the trial-offset lane."""
-        self._taint.taint_data_with_true_check(
-            register, lane + self._base, bad_value, true_value)
-
-    def taint_storage_mask(self, register: int, lane: int, true_value: int,
-                           strike_mask: int) -> None:
-        """Delegate with the trial-offset lane."""
-        self._taint.taint_storage_mask(
-            register, lane + self._base, true_value, strike_mask)
-
-    def taint_check_strike(self, register: int, lane: int, true_value: int,
-                           bits: Sequence[int]) -> bool:
-        """Delegate with the trial-offset lane."""
-        return self._taint.taint_check_strike(
-            register, lane + self._base, true_value, bits)
-
-
 class TrialWarp(Warp):
-    """One warp position executed for every trial of a batch at once.
+    """One warp position executed for every block of a sweep at once.
 
-    State vectors are ``(trials * 32,)`` wide; flat lane ``l`` belongs
-    to trial ``l // 32`` at local lane ``l % 32``.  Instruction
+    State vectors are ``(blocks * 32,)`` wide; flat lane ``l`` belongs
+    to block ``l // 32`` at local lane ``l % 32``.  Instruction
     semantics inherit from :class:`~repro.gpu.warp.Warp` unchanged —
-    only the trial-aware pieces are overridden: per-trial fault gating,
-    per-trial detection halts, per-trial crash/hang termination,
-    trial-blocked SHFL lane arithmetic, and trial-offset memory access.
+    only the trial-aware pieces are overridden: forking due trials off
+    golden, per-block detection halts, per-block crash/hang termination,
+    block-local SHFL lane arithmetic, and block-offset memory access.
+    ``datapath_counter`` counts golden's datapath writes in this warp.
     """
 
     def __init__(self, kernel: Kernel, cta_index: int, warp_index: int,
                  thread_count: int, threads_per_cta: int, grid_ctas: int,
-                 register_count: int, global_memory: TrialMemory,
-                 shared_memory: Optional[TrialMemory],
-                 states: Sequence[ResilienceState], batch: TrialBatch):
-        trials = batch.trials
-        self.kernel = kernel
-        self.cta_index = cta_index
-        self.warp_index = warp_index
-        self.global_memory = global_memory
-        self.shared_memory = shared_memory
-        self.resilience = None  # per-trial states replace the shared one
-        self.states = list(states)
+                 register_count: int, batch: TrialBatch):
+        # One fresh 32-lane warp under golden's state, tiled per block.
+        super().__init__(kernel, cta_index, warp_index, thread_count,
+                         threads_per_cta, grid_ctas, register_count,
+                         batch.memory, batch.shared,
+                         batch.states[batch.trials])
+        self.resilience = None  # per-block states replace the shared one
         self.batch = batch
-        self.trials = trials
-        self.width = trials * WARP_SIZE
-
-        self.regs = np.zeros((max(register_count, 1), self.width),
-                             dtype=np.uint32)
-        self.preds = np.zeros((8, self.width), dtype=bool)
-        self.preds[PT] = True
-        lanes32 = np.arange(WARP_SIZE, dtype=np.uint32)
-        self.alive = np.tile(lanes32 < thread_count, trials) \
-            & batch.lanes_live
-        self.stack: List[StackEntry] = [
-            StackEntry(0, self.alive.copy(), None)]
-        self.at_barrier = False
-        self.done = False
-        #: per-trial datapath occurrence counters, ``(trials,)`` int64
-        self.datapath_counter = np.zeros(trials, dtype=np.int64)
-        mode = self.states[0].mode
-        self.taint: Optional[TaintTracker] = (
-            TaintTracker(self.states[0].scheme)
-            if mode == "swap" else None)
+        self.width = batch.blocks * WARP_SIZE
+        self.regs = np.tile(self.regs, batch.blocks)
+        self.preds = np.tile(self.preds, batch.blocks)
+        self.alive = np.tile(self.alive, batch.blocks) & batch.lanes_live
+        self.stack = [StackEntry(0, self.alive.copy(), None)]
+        self.special = {name: np.tile(values, batch.blocks)
+                        for name, values in self.special.items()}
         if self.taint is not None:
             self.taint.words = _IndexedWords()
-
-        self.special = {
-            "SR_TID": np.tile(
-                (warp_index * WARP_SIZE + lanes32).astype(np.uint32),
-                trials),
-            "SR_CTAID": np.full(self.width, cta_index, dtype=np.uint32),
-            "SR_NTID": np.full(self.width, threads_per_cta,
-                               dtype=np.uint32),
-            "SR_NCTAID": np.full(self.width, grid_ctas, dtype=np.uint32),
-            "SR_LANE": np.tile(lanes32, trials),
-        }
-        self.observer = None
-        self._last_segments: tuple = ()
-
-        # Per-trial fault-plan placement, vectorized for the write gate
-        # (-1 where a trial carries no plan, so it can never match).
-        self._plan_cta = np.full(trials, -1, dtype=np.int64)
-        self._plan_warp = np.full(trials, -1, dtype=np.int64)
-        self._plan_occurrence = np.full(trials, -1, dtype=np.int64)
-        self._fired = np.zeros(trials, dtype=bool)
-        for trial, state in enumerate(self.states):
-            plan = state.fault
-            self._fired[trial] = state.fault_fired
-            if plan is not None:
-                self._plan_cta[trial] = plan.cta_index
-                self._plan_warp[trial] = plan.warp_index
-                self._plan_occurrence[trial] = plan.occurrence
+        #: this warp's pending plans: golden occurrence -> due trials
+        self.pending = batch.pending.get((cta_index, warp_index), {})
+        #: (trial, block) pairs forked for the step being executed
+        self._forks: List[tuple] = []
 
     # ------------------------------------------------------------------
-    # per-trial liveness plumbing
+    # block layout
     # ------------------------------------------------------------------
-    def _trials_of(self, mask: np.ndarray) -> np.ndarray:
-        """Trial indices with at least one set lane in ``mask``."""
-        return np.nonzero(
-            mask.reshape(self.trials, WARP_SIZE).any(axis=1))[0]
+    def grow(self, blocks: int) -> None:
+        """Widen every lane array to ``blocks`` blocks (new ones inert)."""
+        self.width = blocks * WARP_SIZE
+        self.regs = _widen(self.regs, self.width)
+        self.preds = _widen(self.preds, self.width)
+        self.alive = _widen(self.alive, self.width)
+        for entry in self.stack:
+            entry.mask = _widen(entry.mask, self.width)
+        self.special = {name: np.tile(values[:WARP_SIZE], blocks)
+                        for name, values in self.special.items()}
 
+    def fork(self, block: int) -> None:
+        """Make ``block``'s lanes a taint-free copy of golden's."""
+        lanes = _block_lanes(block)
+        if self.taint is not None:
+            self.taint.words.drop_lanes(lanes)
+        for state in (self.regs, self.preds, self.alive):
+            state[..., lanes] = state[..., _GOLDEN_LANES]
+        for entry in self.stack:
+            entry.mask[lanes] = entry.mask[_GOLDEN_LANES]
+
+    def _blocks_of(self, mask: np.ndarray) -> np.ndarray:
+        """Block indices with at least one set lane in ``mask``."""
+        return np.nonzero(mask.reshape(-1, WARP_SIZE).any(axis=1))[0]
+
+    def _guard(self, instruction: Instruction, active: np.ndarray,
+               lanes: slice = slice(None)) -> np.ndarray:
+        """``active`` restricted by the instruction's predicate guard."""
+        if instruction.predicate is None:
+            return active
+        pred_mask = self.preds[instruction.predicate][lanes]
+        if instruction.predicate_negated:
+            pred_mask = ~pred_mask
+        return active & pred_mask
+
+    # ------------------------------------------------------------------
+    # per-block liveness plumbing
+    # ------------------------------------------------------------------
     def _tainted_lanes_of(self, register: int) -> list:
-        """Indexed lookup into the batch-wide taint map (vs. a scan)."""
+        """Indexed lookup into the sweep-wide taint map (vs. a scan)."""
         lanes = self.taint.words.by_register.get(register)
         return list(lanes) if lanes else []
 
     def _writeback_mask(self, mask: np.ndarray) -> np.ndarray:
-        """Drop lanes of trials halted earlier in this instruction."""
+        """Drop lanes of blocks halted earlier in this instruction."""
         return mask & self.batch.lanes_live
 
     def current_entry(self) -> Optional[StackEntry]:
@@ -412,7 +520,7 @@ class TrialWarp(Warp):
 
         Running off the end of the kernel — the scalar ``missing EXIT?``
         :class:`~repro.errors.SimulationError` — crashes exactly the
-        trials whose lanes sit in the offending entry; everyone else
+        blocks whose lanes sit in the offending entry; everyone else
         keeps executing.
         """
         while self.stack:
@@ -425,15 +533,16 @@ class TrialWarp(Warp):
                 self.stack.pop()
                 continue
             if top.pc >= len(self.kernel.instructions):
-                for trial in self._trials_of(mask):
-                    self.batch.finish(int(trial), TRIAL_CRASH)
+                for block in self._blocks_of(mask):
+                    self.batch.finish(int(block), TRIAL_CRASH)
                 continue
+            self._active = mask
             return top
         self.done = True
         return None
 
     # ------------------------------------------------------------------
-    # per-trial detection and fault injection
+    # per-block detection and fault injection
     # ------------------------------------------------------------------
     def _check_tainted_read(self, registers, mask) -> None:
         taint = self.taint
@@ -448,93 +557,85 @@ class TrialWarp(Warp):
         if not keys:
             return
         decoded = taint.read_many(keys)
-        pc = self.stack[-1].pc if self.stack else -1
         for (register, lane), status, data in zip(keys, decoded.status,
                                                   decoded.data):
-            trial = lane // WARP_SIZE
-            if not self.batch.live[trial]:
-                # This trial halted at an earlier key of the same read;
+            block = lane // WARP_SIZE
+            if not self.batch.live[block]:
+                # This block halted at an earlier key of the same read;
                 # its scalar run never reaches the later lanes.
                 continue
-            state = self.states[trial]
+            state = self.batch.states[self.batch.owner[block]]
             if status == READ_DUE:
-                state.record("due", self.cta_index, self.warp_index, pc,
-                             f"R{register} lane {lane % WARP_SIZE}")
+                state.record("due", self.cta_index, self.warp_index,
+                             self.pc, f"R{register} lane {lane % WARP_SIZE}")
                 if state.halt_on_detect:
-                    self.batch.finish(trial, TRIAL_HALT)
+                    self.batch.finish(block, TRIAL_HALT)
             elif status == READ_CORRECTED:
                 state.record("corrected", self.cta_index, self.warp_index,
-                             pc, f"R{register} lane {lane % WARP_SIZE}")
+                             self.pc, f"R{register} lane {lane % WARP_SIZE}")
                 self.regs[register][lane] = int(data) & 0xFFFF_FFFF
 
     def _maybe_inject_fault(self, instruction: Instruction,
                             values: np.ndarray, mask: np.ndarray,
                             is_64bit: bool):
-        """Fire each trial's plan on its own 32-lane slice when due.
+        """Strike each block forked for this step with its trial's plan.
 
-        The placement gate is vectorized over trials (one boolean
-        reduction per datapath writeback); the strike itself — at most
-        once per trial per run — delegates to the shared scalar
-        :func:`~repro.gpu.warp.apply_fault_strike` on the slice, with
-        taint keys and protections offset back to flat lanes.
+        The strike — at most once per trial per run — delegates to the
+        shared scalar :func:`~repro.gpu.warp.apply_fault_strike` on the
+        fork's slice, keying taints and protections by flat lane.
         """
-        if instruction.spec.pipe.value not in DATAPATH_PIPES:
-            return values, set()
-        due = (~self._fired
-               & (self._plan_cta == self.cta_index)
-               & (self._plan_warp == self.warp_index)
-               & (self._plan_occurrence == self.datapath_counter)
-               & self.batch.live)
-        if not due.any():
+        if not self._forks:
             return values, set()
         role = instruction.meta.get("role")
         dest = instruction.dest.value
         protected = set()
         values = values.copy()
-        for trial in np.nonzero(due)[0]:
-            trial = int(trial)
-            state = self.states[trial]
-            base = trial * WARP_SIZE
-            block = slice(base, base + WARP_SIZE)
-            taint_view = _OffsetTaint(self.taint, base) \
-                if self.taint is not None else None
-            struck, keys = apply_fault_strike(
-                state.fault, state, taint_view, role, dest,
-                values[block], mask[block], is_64bit)
-            values[block] = struck
-            protected.update((register, lane + base)
-                             for register, lane in keys)
-            self._fired[trial] = state.fault_fired
+        for trial, block in self._forks:
+            state = self.batch.states[trial]
+            lanes = _block_lanes(block)
+            values[lanes], keys = apply_fault_strike(
+                state.fault, state, self.taint, role, dest, values[lanes],
+                mask[lanes], is_64bit, base=lanes.start)
+            protected |= keys
         return values, protected
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def step(self) -> Optional[np.ndarray]:
-        """Execute one instruction for every live trial at once.
+        """Execute one instruction for every live block at once.
 
-        Returns the ``(trials,)`` boolean vector of trials that had
+        Forks the trials whose plan is due on this instruction first.
+        Returns the ``(blocks,)`` boolean vector of blocks that had
         active lanes this step (the scalar runs that would have called
-        ``step()`` here) — the caller ticks those trials' budgets — or
+        ``step()`` here) — the caller ticks those blocks' budgets — or
         None when the warp has finished.
         """
         entry = self.current_entry()
         if entry is None:
             return None
         pc = entry.pc
+        self.pc = pc
         instruction = self.kernel.instructions[pc]
-        active = entry.mask & self.alive & self.batch.lanes_live
-        trial_active = active.reshape(self.trials, WARP_SIZE).any(axis=1)
-        if instruction.predicate is not None:
-            pred_mask = self.preds[instruction.predicate]
-            if instruction.predicate_negated:
-                pred_mask = ~pred_mask
-            exec_mask = active & pred_mask
-        else:
-            exec_mask = active
+        spec = instruction.spec
+        datapath = spec.writes_dest and spec.pipe.value in DATAPATH_PIPES
+        batch = self.batch
+        # An unforked trial's scalar counter is golden's, so its plan is
+        # due exactly when golden's lanes run this write at its occurrence.
+        if (datapath and self.datapath_counter in self.pending
+                and batch.live[GOLDEN]
+                and self._guard(instruction,
+                                entry.mask[_GOLDEN_LANES]
+                                & self.alive[_GOLDEN_LANES],
+                                _GOLDEN_LANES).any()):
+            self._forks = [(trial, batch.fork(trial)) for trial in
+                           self.pending.pop(self.datapath_counter)]
+            self._active = entry.mask & self.alive & batch.lanes_live
+        active = self._active
+        block_active = active.reshape(-1, WARP_SIZE).any(axis=1)
+        exec_mask = self._guard(instruction, active)
 
         op = instruction.op
-        spec = instruction.spec
         if op == "BRA":
             self._exec_branch(entry, instruction, active, exec_mask)
         elif op == "EXIT":
@@ -545,15 +646,13 @@ class TrialWarp(Warp):
             self._exec_barrier(active)
         elif op == "BPT":
             entry.pc = pc + 1
-            exec_trials = exec_mask.reshape(
-                self.trials, WARP_SIZE).any(axis=1)
-            for trial in np.nonzero(exec_trials & self.batch.live)[0]:
-                trial = int(trial)
-                state = self.states[trial]
+            for block in self._blocks_of(exec_mask & batch.lanes_live):
+                block = int(block)
+                state = batch.states[batch.owner[block]]
                 state.record("trap", self.cta_index, self.warp_index, pc,
                              "BPT")
                 if state.halt_on_detect:
-                    self.batch.finish(trial, TRIAL_HALT)
+                    batch.finish(block, TRIAL_HALT)
         elif op == "NOP":
             entry.pc = pc + 1
         else:
@@ -561,36 +660,40 @@ class TrialWarp(Warp):
             if exec_mask.any():
                 self._exec_data(instruction, exec_mask)
 
-        if spec.writes_dest and spec.pipe.value in DATAPATH_PIPES:
-            exec_trials = exec_mask.reshape(
-                self.trials, WARP_SIZE).any(axis=1)
-            # Trials halted mid-instruction never reach the scalar
-            # counter increment, so only still-live trials advance.
-            self.datapath_counter[exec_trials & self.batch.live] += 1
-        return trial_active
+        # Golden halted mid-instruction never reaches the scalar counter
+        # increment, so only a still-live golden advances.
+        if datapath and batch.live[GOLDEN] \
+                and exec_mask[_GOLDEN_LANES].any():
+            self.datapath_counter += 1
+        if self._forks:
+            for trial, block in self._forks:
+                batch.settle(trial, block)
+            self._forks = []
+        return block_active
 
     def _exec_barrier(self, active: np.ndarray) -> None:
         """Arrive at a BAR; flag cross-trial divergent arrivals.
 
-        A trial whose lanes are alive in this warp but absent from the
+        A block whose lanes are alive in this warp but absent from the
         arriving stack entry has *not* reached this barrier in its own
         scalar schedule — blocking the shared warp would synchronize it
-        spuriously.  Those trials are handed to the scalar oracle
-        (``fallback``); trials arriving with all their live lanes (or
-        with none left in this warp) block exactly as scalar does.
+        spuriously.  Those blocks' trials are handed to the scalar
+        oracle (``fallback``); blocks arriving with all their live
+        lanes (or with none left in this warp) block exactly as scalar
+        does.
         """
-        alive_trials = (self.alive & self.batch.lanes_live).reshape(
-            self.trials, WARP_SIZE).any(axis=1)
-        arrived = active.reshape(self.trials, WARP_SIZE).any(axis=1)
-        divergent = alive_trials & ~arrived & self.batch.live
-        for trial in np.nonzero(divergent)[0]:
-            self.batch.finish(int(trial), TRIAL_FALLBACK,
+        alive_blocks = (self.alive & self.batch.lanes_live).reshape(
+            -1, WARP_SIZE).any(axis=1)
+        arrived = active.reshape(-1, WARP_SIZE).any(axis=1)
+        divergent = alive_blocks & ~arrived & self.batch.live
+        for block in np.nonzero(divergent)[0]:
+            self.batch.finish(int(block), TRIAL_FALLBACK,
                               reason="divergent_barrier")
         self.at_barrier = True
 
     def _exec_shfl(self, instruction: Instruction,
                    mask: np.ndarray) -> None:
-        """Warp shuffle with lane arithmetic inside each trial's block."""
+        """Warp shuffle with lane arithmetic inside each block."""
         value = self.read_u32(instruction.sources[0], mask)
         amount = self.read_u32(instruction.sources[1],
                                mask).astype(np.int64)
@@ -616,12 +719,12 @@ class TrialWarp(Warp):
 
     def _exec_memory(self, instruction: Instruction,
                      mask: np.ndarray) -> int:
-        """Trial-offset memory access with per-trial crash containment.
+        """Block-offset memory access with per-block crash containment.
 
         An out-of-bounds lane address — the scalar oracle's
         :class:`~repro.errors.SimulationError` — crashes only that
-        trial: its lanes drop out before any word is read or written,
-        and every in-range trial proceeds.
+        block's trial: its lanes drop out before any word is read or
+        written, and every in-range block proceeds.
         """
         op = instruction.op
         srcs = instruction.sources
@@ -642,13 +745,13 @@ class TrialWarp(Warp):
             address_operand, value_operand = srcs[0], None
         addresses = self.read_u32(address_operand, mask).astype(np.int64) \
             + instruction.offset
-        mask = mask & self.batch.lanes_live  # address read may halt trials
+        mask = mask & self.batch.lanes_live  # address read may halt blocks
         checked = np.where(mask, addresses, 0).astype(np.uint32)
         parts = [checked]
         if wide:
             parts.append((checked + 1).astype(np.uint32))
-        for trial in space.oob_trials(parts, mask):
-            self.batch.finish(int(trial), TRIAL_CRASH)
+        for block in space.oob_blocks(parts, mask):
+            self.batch.finish(int(block), TRIAL_CRASH)
         mask = mask & self.batch.lanes_live
         if not mask.any():
             return 0
@@ -704,7 +807,7 @@ class TrialRunResult:
     memory: TrialMemory
     #: per-trial fallback attribution (``divergent_barrier`` /
     #: ``union_error`` / ``union_deadlock``; None for decided trials)
-    fallback_reasons: List[Optional[str]] = field(default_factory=list)
+    fallback_reasons: List[Optional[str]]
 
 
 def run_trials(kernel: Kernel, launch: LaunchConfig, image: np.ndarray,
@@ -717,12 +820,13 @@ def run_trials(kernel: Kernel, launch: LaunchConfig, image: np.ndarray,
     :func:`repro.gpu.device.run_functional` once per trial on a fresh
     copy of ``image`` (a ``(words,)`` uint32 launch memory): CTAs run
     sequentially, warps within a CTA round-robin until blocked, and
-    every instruction executes once for the whole ``(trials * 32)``-wide
-    virtual warp.  Each state must be fresh (unfired, eventless) and all
-    must share one resilience mode; in ``swap`` mode the first state's
-    scheme decodes every trial's taints (schemes are stateless codecs,
-    so sharing one is observationally identical to the scalar path's
-    per-trial instances).
+    every instruction executes once for the whole ``(blocks * 32)``-wide
+    virtual warp of golden plus the running forks.  Each state must be
+    fresh (unfired, eventless) and all must share one resilience mode
+    and ``halt_on_detect`` (trials that never fork inherit golden's
+    halting); in ``swap`` mode the first state's scheme decodes every
+    block's taints (schemes are stateless codecs, so sharing one is
+    observationally identical to the scalar path's per-trial instances).
 
     Exactness contract: every returned trial matches its scalar oracle
     run bit for bit — outcome bin, detection events, memory image, and
@@ -733,19 +837,16 @@ def run_trials(kernel: Kernel, launch: LaunchConfig, image: np.ndarray,
     """
     kernel.validate()
     states = list(states)
-    if not states:
-        raise SimulationError("run_trials needs at least one trial state")
-    mode = states[0].mode
     for state in states:
-        if state.mode != mode:
+        if (state.mode, state.halt_on_detect) != \
+                (states[0].mode, states[0].halt_on_detect):
             raise SimulationError(
-                "all trial states must share one resilience mode")
+                "all trial states must share one resilience mode and "
+                "halt_on_detect")
         if state.fault_fired or state.events:
             raise SimulationError(
                 "trial states must be fresh (unfired, no events)")
-    trials = len(states)
-    batch = TrialBatch(trials, max_steps)
-    memory = TrialMemory(image, trials)
+    batch = TrialBatch(states, image, max_steps)
     if register_count is None:
         register_count = max(kernel.register_count(), 1)
 
@@ -753,40 +854,33 @@ def run_trials(kernel: Kernel, launch: LaunchConfig, image: np.ndarray,
         if not batch.live.any():
             break
         try:
-            _run_cta(kernel, launch, cta_index, memory, states, batch,
-                     register_count)
+            _run_cta(kernel, launch, cta_index, batch, register_count)
         except SimulationError:
             # A union-level failure (unimplemented opcode, deadlock
             # shape the shared stack cannot attribute): hand every
             # still-running trial to the scalar oracle.
             batch.finish_live(TRIAL_FALLBACK, reason="union_error")
             break
-    for trial in range(trials):
-        if batch.outcomes[trial] is None:
-            batch.outcomes[trial] = TRIAL_OK
-    return TrialRunResult(outcomes=batch.outcomes, states=states,
-                          steps=batch.steps, memory=memory,
-                          fallback_reasons=batch.fallback_reasons)
+    return batch.result()
 
 
 def _run_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
-             memory: TrialMemory, states: Sequence[ResilienceState],
              batch: TrialBatch, register_count: int) -> None:
     """One CTA of the batched launch (mirrors ``run_functional_cta``)."""
-    shared = None
+    batch.shared = None
+    batch.warps = []
     if launch.shared_words_per_cta:
-        shared = TrialMemory(
+        batch.shared = TrialMemory(
             np.zeros(launch.shared_words_per_cta, dtype=np.uint32),
-            batch.trials, name=f"shared.cta{cta_index}")
-    warps = []
+            batch.blocks, name=f"shared.cta{cta_index}")
+    warps = batch.warps
     threads_left = launch.threads_per_cta
     for warp_index in range(launch.warps_per_cta):
         count = min(WARP_SIZE, threads_left)
         threads_left -= count
         warps.append(TrialWarp(kernel, cta_index, warp_index, count,
                                launch.threads_per_cta, launch.grid_ctas,
-                               register_count, memory, shared, states,
-                               batch))
+                               register_count, batch))
     while True:
         progressed = False
         barrier_waiters = 0
@@ -797,11 +891,11 @@ def _run_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
                 barrier_waiters += 1
                 continue
             while not warp.done and not warp.at_barrier:
-                trial_active = warp.step()
-                if trial_active is None:
+                block_active = warp.step()
+                if block_active is None:
                     break
                 progressed = True
-                batch.tick(trial_active)
+                batch.tick(block_active)
                 if not batch.live.any():
                     return
         if all(warp.done for warp in warps):
@@ -816,7 +910,7 @@ def _run_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
                     released = True
             if not released:
                 # The union deadlocked; per-trial attribution is not
-                # sound here, so every live trial goes to the oracle.
+                # sound here, so every running trial goes to the oracle.
                 batch.finish_live(TRIAL_FALLBACK,
                                   reason="union_deadlock")
                 return

@@ -9,12 +9,12 @@ reaches their reconvergence pc.
 
 This module is the *scalar* (one-trial) executor and the exact-
 equivalence oracle for the trial-batched tensor executor in
-:mod:`repro.gpu.tensor`, which stacks N independent fault trials into
-one ``(trials * 32)``-wide virtual warp.  The pieces both executors
-share live here as module-level helpers: the opcode lambda tables, the
-fault-strike application (:func:`apply_fault_strike`), and the
-single-pass memory-access profiles (:func:`global_access_profile`,
-:func:`shared_bank_conflicts`).
+:mod:`repro.gpu.tensor`, which stacks 32-lane blocks of independent
+fault trials into one ``(blocks * 32)``-wide virtual warp.  The pieces
+both executors share live here as module-level helpers: the opcode
+lambda tables, the fault-strike application (:func:`apply_fault_strike`),
+and the single-pass memory-access profiles
+(:func:`global_access_profile`, :func:`shared_bank_conflicts`).
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class StackEntry:
     """One SIMT reconvergence-stack entry: a pc, its mask, its join pc.
 
     ``mask`` is a boolean lane vector — ``(32,)`` in the scalar executor,
-    ``(trials * 32,)`` in the trial-batched one, where one entry tracks
-    the union of every trial's lanes walking this path.
+    ``(blocks * 32,)`` in the trial-batched one, where one entry tracks
+    the union of every block's lanes walking this path.
     """
 
     pc: int
@@ -77,9 +77,9 @@ class StepInfo:
 class Warp:
     """One warp's architectural state and executor.
 
-    All lane vectors are ``width`` wide — 32 here; ``trials * 32`` in the
+    All lane vectors are ``width`` wide — 32 here; ``blocks * 32`` in the
     :class:`repro.gpu.tensor.TrialWarp` subclass, which reuses the
-    execution methods below unchanged across its stacked trials.
+    execution methods below unchanged across its stacked blocks.
     """
 
     #: lanes per state vector (overridden per instance by TrialWarp)
@@ -107,6 +107,8 @@ class Warp:
             StackEntry(0, self.alive.copy(), None)]
         self.at_barrier = False
         self.done = False
+        #: pc of the instruction executing (what detection events log)
+        self.pc = -1
         self.datapath_counter = 0
         self.taint: Optional[TaintTracker] = (
             TaintTracker(resilience.scheme)
@@ -164,18 +166,17 @@ class Warp:
         if not keys:
             return
         batch = taint.read_many(keys)
-        pc = self.stack[-1].pc if self.stack else -1
         for (register, lane), status, data in zip(keys, batch.status,
                                                   batch.data):
             if status == READ_DUE:
                 self.resilience.record("due", self.cta_index,
-                                       self.warp_index, pc,
+                                       self.warp_index, self.pc,
                                        f"R{register} lane {lane}")
                 if self.resilience.halt_on_detect:
                     raise KernelHalt("ecc-due")
             elif status == READ_CORRECTED:
                 self.resilience.record("corrected", self.cta_index,
-                                       self.warp_index, pc,
+                                       self.warp_index, self.pc,
                                        f"R{register} lane {lane}")
                 self.regs[register][lane] = int(data) & 0xFFFF_FFFF
             # OK: the (possibly wrong) stored data flows on.
@@ -236,7 +237,7 @@ class Warp:
 
         The scalar tracker holds at most a couple of taints, so a scan
         of the word map is fine here; the trial-batched executor — whose
-        map carries one taint per struck trial — overrides this with an
+        map carries one taint per struck block — overrides this with an
         indexed lookup.
         """
         return [lane for (tainted_register, lane) in self.taint.words
@@ -247,7 +248,7 @@ class Warp:
 
         The scalar executor commits every execution-masked lane; the
         trial-batched executor overrides this to additionally drop lanes
-        of trials halted (DUE/trap/crash) earlier in the same
+        of blocks halted (DUE/trap/crash) earlier in the same
         instruction, mirroring how a scalar :class:`KernelHalt` aborts
         before the remaining writes of that instruction happen.
         """
@@ -338,6 +339,7 @@ class Warp:
         if entry is None:
             return None
         pc = entry.pc
+        self.pc = pc
         instruction = self.kernel.instructions[pc]
         active = entry.mask & self.alive
         if instruction.predicate is not None:
@@ -580,20 +582,22 @@ class Warp:
 def apply_fault_strike(plan, state: ResilienceState,
                        taint: Optional[TaintTracker], role: Optional[str],
                        dest: int, values: np.ndarray, mask: np.ndarray,
-                       is_64bit: bool):
+                       is_64bit: bool, base: int = 0):
     """Strike one warp-width instruction result with a placed FaultPlan.
 
     Shared by the scalar :class:`Warp` and the trial-batched executor in
-    :mod:`repro.gpu.tensor` (which passes the firing trial's 32-lane
-    slice).  The caller has already verified the plan's placement gates
-    (cta/warp/occurrence/pipe); this function decides whether the event
-    *fires* and what it corrupts.  ``dest`` is the destination register
-    index; ``values`` is the ``(32,)`` uint32 (or uint64 when
-    ``is_64bit``) result vector and ``mask`` the boolean execution mask.
+    :mod:`repro.gpu.tensor` (which passes the struck block's 32-lane
+    slice, and as ``base`` the block's first lane in the flat lanes
+    ``taint`` is keyed by).  The caller has already verified the plan's
+    placement gates (cta/warp/occurrence/pipe); this function decides
+    whether the event *fires* and what it corrupts.  ``dest`` is the
+    destination register index; ``values`` is the ``(32,)`` uint32 (or
+    uint64 when ``is_64bit``) result vector and ``mask`` the boolean
+    execution mask.
 
     Returns ``(values, protected)``: the possibly-corrupted result and
-    the set of freshly-tainted ``(register, lane)`` keys the writeback
-    must not clear.  One event may flip several bits
+    the set of freshly-tainted ``(register, base + lane)`` keys the
+    writeback must not clear.  One event may flip several bits
     (``plan.strike_bits``) in several lanes (``plan.strike_lanes``);
     bits past the value's width are dropped, not wrapped, and lanes
     that are inactive under the execution mask are untouched.
@@ -626,8 +630,8 @@ def apply_fault_strike(plan, state: ResilienceState,
                     bits = [index for index in range(32)
                             if half_mask >> index & 1]
                     if taint.taint_check_strike(
-                            register, lane, true_word, bits):
-                        protected.add((register, lane))
+                            register, base + lane, true_word, bits):
+                        protected.add((register, base + lane))
         return values, protected
 
     corrupted = values.copy()
@@ -650,8 +654,8 @@ def apply_fault_strike(plan, state: ResilienceState,
                     true_word = (true_value >> (32 * offset)) \
                         & 0xFFFF_FFFF
                     taint.taint_storage_mask(
-                        register, lane, true_word, half_mask)
-                    protected.add((register, lane))
+                        register, base + lane, true_word, half_mask)
+                    protected.add((register, base + lane))
             continue
 
         # Data-path fault: corrupt the computed value.
@@ -665,13 +669,13 @@ def apply_fault_strike(plan, state: ResilienceState,
                 bad_word = true_word ^ half_mask
                 if role == "predicted":
                     taint.taint_data_with_true_check(
-                        register, lane, bad_word, true_word)
+                        register, base + lane, bad_word, true_word)
                 else:
                     # Originals (and unpaired writes) emit a valid
                     # codeword of the bad value; the shadow's later
                     # masked write exposes it.
-                    taint.taint_original(register, lane, bad_word)
-                protected.add((register, lane))
+                    taint.taint_original(register, base + lane, bad_word)
+                protected.add((register, base + lane))
     return corrupted, protected
 
 

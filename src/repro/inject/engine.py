@@ -553,9 +553,7 @@ def _run_trials_tensor(instance, kernel, launch, plans, fresh_state,
             state = result.states[index]
             if outcome == "fallback":
                 fallbacks += 1
-                reasons = getattr(result, "fallback_reasons", None) or []
-                reason = (reasons[index] if index < len(reasons)
-                          else None) or "unattributed"
+                reason = result.fallback_reasons[index] or "unattributed"
                 fallback_reasons[reason] = \
                     fallback_reasons.get(reason, 0) + 1
                 state = fresh_state(plan)

@@ -10,6 +10,8 @@ trigger, and the engine-level count equality of ``tensor=True`` vs.
 ``tensor=False``.
 """
 
+import hashlib
+import json
 import os
 import random
 
@@ -24,6 +26,7 @@ from repro.gpu.resilience import FaultPlan, ResilienceState
 from repro.gpu.tensor import (TRIAL_CRASH, TRIAL_FALLBACK, TRIAL_HALT,
                               TRIAL_HANG, TRIAL_OK, _IndexedWords,
                               run_trials)
+from repro.gpu.watchdog import Watchdog, WatchdogConfig
 from repro.inject.engine import (BatchSpec, make_scheme, run_gpu_batch,
                                  run_mbu_sweep_batch)
 from repro.workloads import get_workload
@@ -32,16 +35,22 @@ STRESS_SEED = int(os.environ.get("REPRO_STRESS_SEED", "0"))
 
 
 def scalar_reference(kernel, launch, image_words, state, max_steps):
-    """The oracle: one scalar run, mapped onto the batched outcome bins."""
+    """The oracle: one scalar run, mapped onto the batched outcome bins.
+
+    Returns ``(outcome, memory, steps)``; ``steps`` is what the run's
+    watchdog counted, the scalar twin of ``TrialRunResult.steps``.
+    """
     memory = MemorySpace(len(image_words))
     memory.words[:] = image_words
+    watchdog = Watchdog(WatchdogConfig(max_steps=max_steps))
     try:
-        run_functional(kernel, launch, memory, state, max_steps=max_steps)
+        run_functional(kernel, launch, memory, state, watchdog=watchdog)
     except HangError:
-        return TRIAL_HANG, memory
+        return TRIAL_HANG, memory, watchdog.steps
     except SimulationError:
-        return TRIAL_CRASH, memory
-    return (TRIAL_HALT if state.detected else TRIAL_OK), memory
+        return TRIAL_CRASH, memory, watchdog.steps
+    outcome = TRIAL_HALT if state.detected else TRIAL_OK
+    return outcome, memory, watchdog.steps
 
 
 def event_keys(state):
@@ -92,11 +101,12 @@ def assert_batched_matches_scalar(workload, scheme, plans, scale=0.25,
         if outcome == TRIAL_FALLBACK:
             continue  # no claim made; the engine reruns these scalar
         reference = state_of(plan)
-        want, memory = scalar_reference(
+        want, memory, steps = scalar_reference(
             compiled.kernel, launch, instance.memory.words, reference,
             max_steps)
         context = (STRESS_SEED, workload, scheme, index, plan)
         assert outcome == want, context
+        assert result.steps[index] == steps, context
         state = result.states[index]
         assert state.fault_fired == reference.fault_fired, context
         assert event_keys(state) == event_keys(reference), context
@@ -125,6 +135,21 @@ class TestScalarEquivalence:
         instance = get_workload(workload).build(scale=0.25, seed=11)
         plans = random_plans(rng, instance.launch, 6)
         assert_batched_matches_scalar(workload, scheme, plans)
+
+    @pytest.mark.parametrize("workload,scheme,occurrence_max", [
+        ("gaussian", "swdup", 4),  # several trials fork on one step
+        ("snap", "swap-ecc", 4),   # forks reuse blocks freed by halts
+        ("bfs", "swdup", 40),      # forks whose strike lane is inactive
+    ])
+    def test_dense_plans(self, workload, scheme, occurrence_max):
+        rng = random.Random(f"{STRESS_SEED}/dense/{workload}/{scheme}")
+        instance = get_workload(workload).build(scale=0.25, seed=11)
+        plans = random_plans(rng, instance.launch, 48,
+                             occurrence_max=occurrence_max)
+        # About 10x bfs's fault-free 9.4k steps: a livelocked trial
+        # bins as a hang in both executors instead of running 50M steps.
+        assert_batched_matches_scalar(workload, scheme, plans,
+                                      max_steps=100_000)
 
     @pytest.mark.parametrize("where", ["result", "storage", "predictor"])
     def test_fault_sites(self, where):
@@ -183,6 +208,46 @@ join:
 """
 
 
+# Under swap-ecc the IADD gains a shadow at pc 3, so the STG sits at pc 5
+# and the EXIT at pc 6.
+READ_AFTER_STRIKE = """
+    S2R R0, SR_TID
+    MOV R1, 7
+    IADD R2, R1, 1
+    NOP
+    STG [R0], R2
+    EXIT
+"""
+
+
+class TestEventPcs:
+    """A DUE logs the pc of the instruction whose read decoded it."""
+
+    @pytest.mark.parametrize("occurrence,pc", [
+        (0, 5),  # S2R's R0 decodes at the STG address read
+        (1, 2),  # MOV's R1 decodes at the IADD
+        (2, 5),  # the IADD original's R2 decodes at the STG
+        (3, 5),  # the shadow's check bits decode at the STG
+    ])
+    def test_due_pc_is_the_reading_instruction(self, occurrence, pc):
+        launch = LaunchConfig(1, 32)
+        compiled = compile_for_scheme(
+            assemble("pcs", READ_AFTER_STRIKE), launch, "swap-ecc")
+        launch = compiled.adjust_launch(launch)
+        image = np.zeros(32, dtype=np.uint32)
+        codec = make_scheme("secded-dp")
+        plan = FaultPlan(cta_index=0, warp_index=0, occurrence=occurrence,
+                         lane=3, bit=4, where="result")
+        scalar = ResilienceState(mode="swap", scheme=codec, fault=plan)
+        scalar_reference(compiled.kernel, launch, image, scalar, 1_000)
+        result = run_trials(compiled.kernel, launch, image,
+                            [ResilienceState(mode="swap", scheme=codec,
+                                             fault=plan)])
+        for state in (scalar, result.states[0]):
+            assert [(event.kind, event.pc) for event in state.events] \
+                == [("due", pc)]
+
+
 class TestPerTrialWatchdog:
     def test_hang_bins_only_the_struck_trial(self):
         kernel = assemble("countdown", COUNTDOWN)
@@ -208,8 +273,8 @@ class TestPerTrialWatchdog:
                          bit=12, where="result")
         for max_steps in (1_000, 100_000):
             state = ResilienceState(fault=plan)
-            want, _ = scalar_reference(kernel, launch, image, state,
-                                       max_steps)
+            want, _, _ = scalar_reference(kernel, launch, image, state,
+                                          max_steps)
             result = run_trials(kernel, launch, image,
                                 [ResilienceState(fault=plan)],
                                 max_steps=max_steps)
@@ -237,6 +302,12 @@ class TestFallback:
         instance = get_workload("saxpy").build(scale=0.25, seed=11)
         states = [ResilienceState(mode="none"),
                   ResilienceState(mode="swdup")]
+        with pytest.raises(SimulationError):
+            run_trials(instance.kernel, instance.launch,
+                       instance.memory.words, states)
+        # Trials that never fork inherit golden's halting, so
+        # halt_on_detect must agree too.
+        states = [ResilienceState(), ResilienceState(halt_on_detect=False)]
         with pytest.raises(SimulationError):
             run_trials(instance.kernel, instance.launch,
                        instance.memory.words, states)
@@ -276,6 +347,59 @@ class TestEngineEquivalence:
         assert batched["successes"] == scalar["successes"]
         assert batched["payload"]["multiplicity"] == 3
         assert batched["payload"]["executor"] == "tensor"
+
+
+#: (runner, params, trials) of the pinned GPU campaign grid; every unit
+#: builds at scale 0.25 unless its params say otherwise, build seed 0
+PINNED_GRID = [
+    (run_gpu_batch, {"workload": "saxpy", "compile_scheme": "swap-ecc",
+                     "scale": 1.0}, 256),
+    (run_gpu_batch, {"workload": "gaussian",
+                     "compile_scheme": "swap-ecc"}, 256),
+    (run_gpu_batch, {"workload": "gaussian", "compile_scheme": "swdup"},
+     256),
+    (run_gpu_batch, {"workload": "bfs", "compile_scheme": "swap-ecc"}, 96),
+    (run_gpu_batch, {"workload": "snap", "compile_scheme": "swap-ecc"}, 96),
+    (run_gpu_batch, {"workload": "pathfinder",
+                     "compile_scheme": "baseline"}, 128),
+    (run_gpu_batch, {"workload": "btree", "compile_scheme": "pre-mad"},
+     128),
+    (run_gpu_batch, {"workload": "btree", "compile_scheme": "swap-ecc",
+                     "where": "storage"}, 96),
+    (run_gpu_batch, {"workload": "btree", "compile_scheme": "pre-mad",
+                     "where": "predictor"}, 96),
+    (run_gpu_batch, {"workload": "lavamd", "compile_scheme": "swap-ecc"},
+     32),
+    (run_mbu_sweep_batch, {"workload": "saxpy", "compile_scheme": "swap-ecc",
+                           "multiplicity": 3, "pattern": "burst",
+                           "lane_spread": 2}, 128),
+]
+
+PINNED_GRID_SHA256 = \
+    "3ecfa381adeb81ffaed3937be4fbcc94fb516ba9c881a1c15456ce4d5f75c94e"
+
+
+class TestPinnedTensorCounts:
+    """The tensor path's campaign counts across protections and sites.
+
+    Covers what the e2ebench digests do not: baseline, pre-mad,
+    storage and predictor strikes, MBU bursts and fp64 (lavaMD).
+    """
+
+    def test_grid_counts_match_pinned_digest(self):
+        rows = []
+        for index, (runner, params, trials) in enumerate(PINNED_GRID):
+            params = dict({"scale": 0.25, "build_seed": 0}, **params)
+            report = runner(params, None,
+                            BatchSpec(index=0, size=trials,
+                                      seed=1000 + index))
+            rows.append({"trials": report["trials"],
+                         "successes": report["successes"],
+                         "counts": report["counts"],
+                         "fallbacks": report["payload"]["fallbacks"]})
+        payload = json.dumps(rows, sort_keys=True)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == PINNED_GRID_SHA256, payload
 
 
 class TestIndexedWords:
@@ -324,14 +448,23 @@ class TestFallbackAttribution:
 
     def test_finish_live_attributes_union_reasons(self):
         from repro.gpu.tensor import TrialBatch
-        batch = TrialBatch(3, max_steps=100)
-        batch.finish(0, TRIAL_OK)
+        plan = FaultPlan(cta_index=0, warp_index=0, occurrence=0, lane=0,
+                         bit=0)
+        batch = TrialBatch([ResilienceState(fault=plan),
+                            ResilienceState(fault=plan),
+                            ResilienceState()],
+                           np.zeros(32, dtype=np.uint32), max_steps=100)
+        # trials 0 and 1 run in forks; trial 2 still follows golden
+        first = batch.fork(0)
+        batch.fork(1)
+        batch.finish(first, TRIAL_OK)
         batch.finish_live(TRIAL_FALLBACK, reason="union_deadlock")
-        assert batch.fallback_reasons == [None, "union_deadlock",
-                                          "union_deadlock"]
+        result = batch.result()
+        assert result.fallback_reasons == [None, "union_deadlock",
+                                           "union_deadlock"]
         # a non-fallback outcome never records a reason
-        assert batch.outcomes == [TRIAL_OK, TRIAL_FALLBACK,
-                                  TRIAL_FALLBACK]
+        assert result.outcomes == [TRIAL_OK, TRIAL_FALLBACK,
+                                   TRIAL_FALLBACK]
 
     def test_engine_payload_tallies_reasons(self):
         """run_gpu_batch(tensor=True) surfaces a per-reason tally in its
