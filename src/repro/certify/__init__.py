@@ -15,27 +15,24 @@ swept space, and minimal counterexample if violated::
     assert certificate.passed
     write_certificate(certificate, out_dir="artifacts")
 
+Every call sweeps from scratch; nothing is cached.  The resumable route
+is a certify work unit (:func:`repro.inject.certify_work_unit`) run
+through the journaled :class:`~repro.inject.CampaignEngine`.
+
 See :mod:`repro.certify.claims` for the claim matrix,
 :mod:`repro.certify.strikes` for the strike spaces, and
 :mod:`repro.certify.tamper` for the deliberately broken schemes that
 prove the certifier can fail.
 """
 
-from repro.certify.claims import (CLAIM_MATRIX_VERSION, Claim, claim_matrix,
-                                  claim_versions)
+from repro.certify.claims import Claim, claim_matrix
 from repro.certify.engine import (CERTIFICATE_SCHEMA_VERSION, Certificate,
                                   Certifier, ClaimReport,
                                   capture_certificate_bundle,
                                   certification_registry, certify_all,
                                   certify_scheme, make_certified_scheme,
                                   validate_artifact_dir, write_certificate)
-from repro.certify.service import CertificateService, ServedCertificate
-from repro.certify.store import (CACHE_SCHEMA_VERSION, CertificateStore,
-                                 certificate_key, fault_model_fingerprint,
-                                 scheme_fingerprint, stitch_certificate,
-                                 touched_claims)
-from repro.certify.strikes import (PIPELINE_PLACEMENTS, PLACEMENTS,
-                                   STRIKE_SPACE_VERSION, Strike,
+from repro.certify.strikes import (PIPELINE_PLACEMENTS, PLACEMENTS, Strike,
                                    apply_strike, arithmetic_strikes,
                                    burst_strikes, correlated_lane_batch,
                                    exhaustive_pipeline_strikes,
@@ -43,17 +40,12 @@ from repro.certify.strikes import (PIPELINE_PLACEMENTS, PLACEMENTS,
 from repro.certify.tamper import build_tampered_scheme, tampered_secded_dp
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION", "CERTIFICATE_SCHEMA_VERSION",
-    "CLAIM_MATRIX_VERSION", "Certificate", "CertificateService",
-    "CertificateStore", "Certifier", "Claim", "ClaimReport",
-    "PIPELINE_PLACEMENTS", "PLACEMENTS", "STRIKE_SPACE_VERSION",
-    "ServedCertificate", "Strike", "apply_strike", "arithmetic_strikes",
-    "build_tampered_scheme", "burst_strikes", "capture_certificate_bundle",
-    "certificate_key", "certification_registry", "certify_all",
-    "certify_scheme", "claim_matrix", "claim_versions",
-    "correlated_lane_batch", "exhaustive_pipeline_strikes",
-    "exhaustive_storage_strikes", "fault_model_fingerprint",
-    "make_certified_scheme", "random_strikes", "scheme_fingerprint",
-    "stitch_certificate", "tampered_secded_dp", "touched_claims",
+    "CERTIFICATE_SCHEMA_VERSION", "Certificate", "Certifier", "Claim",
+    "ClaimReport", "PIPELINE_PLACEMENTS", "PLACEMENTS", "Strike",
+    "apply_strike", "arithmetic_strikes", "build_tampered_scheme",
+    "burst_strikes", "capture_certificate_bundle", "certification_registry",
+    "certify_all", "certify_scheme", "claim_matrix", "correlated_lane_batch",
+    "exhaustive_pipeline_strikes", "exhaustive_storage_strikes",
+    "make_certified_scheme", "random_strikes", "tampered_secded_dp",
     "validate_artifact_dir", "write_certificate",
 ]

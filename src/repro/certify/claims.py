@@ -5,7 +5,10 @@ over (strike, stored word, read verdict).  A claim *covers* a subset of
 the strike space (its ``covers`` hook) and is *violated* when its
 ``check`` hook returns a description; the certifier sweeps every strike
 once and routes it to every applicable claim, so a certificate's swept
-counts are per-claim, not per-strike.
+counts are per-claim, not per-strike.  A claim's description, swept
+count and verdict all land in the certificate, and tier-1 pins every
+registered scheme's certificate byte for byte
+(``TestPinnedCertificates``).
 
 The matrix (``claim`` × ``scheme family``):
 
@@ -38,31 +41,12 @@ detection claims instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.ecc.hsiao import HsiaoSecDed, TedCode
 from repro.ecc.residue import ResidueCode
 from repro.ecc.swap import ReadResult, ReadStatus, RegisterWord, SwapScheme
-from repro.certify.strikes import (PIPELINE_PLACEMENTS, PLACEMENTS, Strike)
-
-#: version of the claim-*matrix* shape itself (which claims exist, how
-#: they scope); bumping it invalidates every cached certificate.
-#: Per-claim semantic changes bump the claim's own ``version`` instead,
-#: so incremental recertification re-sweeps only the changed claim.
-CLAIM_MATRIX_VERSION = 1
-
-#: the scheme-fingerprint components a claim's verdict may depend on
-#: (see :func:`repro.certify.store.scheme_fingerprint`).  ``policy`` is
-#: the check-correction policy; the rest describe the code itself.
-SCHEME_COMPONENTS = ("family", "code", "data_bits", "check_bits",
-                     "uses_data_parity", "modulus", "h_matrix", "policy")
-
-#: every component except the check-correction policy.  The detection
-#: and miscorrection claims are policy-independent by construction: the
-#: ``strict`` policy only ever *converts* benign check-bit corrections
-#: into DUEs, and a DUE always counts as detected and can never be a
-#: miscorrection, so a policy-only delta cannot invalidate them.
-_CODE_COMPONENTS = tuple(c for c in SCHEME_COMPONENTS if c != "policy")
+from repro.certify.strikes import PIPELINE_PLACEMENTS, Strike
 
 
 @dataclass(frozen=True)
@@ -73,14 +57,6 @@ class Claim:
     ``check(scheme, strike, base, word, result)`` returns ``None`` when
     the verdict honours the claim and a human-readable violation
     description otherwise.
-
-    The three cache-key fields drive incremental recertification
-    (:mod:`repro.certify.store`): ``version`` bumps when the claim's
-    *meaning* changes (its predicate, its coverage scoping), ``depends``
-    names the scheme-fingerprint components whose delta forces this
-    claim to re-sweep, and ``placements`` names the strike placements
-    its sweep must enumerate — a partial recertification enumerates
-    only the union of the touched claims' placements.
     """
 
     name: str
@@ -88,14 +64,6 @@ class Claim:
     covers: Callable[[Strike], bool]
     check: Callable[[SwapScheme, Strike, int, RegisterWord, ReadResult],
                     Optional[str]]
-    version: int = 1
-    depends: Tuple[str, ...] = SCHEME_COMPONENTS
-    placements: Tuple[str, ...] = PLACEMENTS
-
-
-def claim_versions(claims: Dict[str, "Claim"]) -> Dict[str, int]:
-    """The per-claim version map recorded in (and keyed into) the cache."""
-    return {name: claim.version for name, claim in claims.items()}
 
 
 def _is_pipeline(strike: Strike) -> bool:
@@ -192,18 +160,14 @@ def claim_matrix(scheme: SwapScheme) -> Dict[str, Claim]:
         "datapath, shadow bus, DP generator) raises a DUE or leaves the "
         "returned data golden",
         lambda strike: _is_pipeline(strike) and strike.weight == 1,
-        _check_single_pipeline,
-        version=1, depends=_CODE_COMPONENTS,
-        placements=PIPELINE_PLACEMENTS)
+        _check_single_pipeline)
     claims["never-miscorrects-pipeline"] = Claim(
         "never-miscorrects-pipeline",
         "no pipeline error of any swept multiplicity is ever actively "
         "miscorrected (a CORRECTED verdict returning a value that is "
         "neither golden nor the stored data)",
         _is_pipeline,
-        _check_never_miscorrects,
-        version=1, depends=_CODE_COMPONENTS,
-        placements=PIPELINE_PLACEMENTS)
+        _check_never_miscorrects)
     if corrects:
         claims["corrects-all-single-storage"] = Claim(
             "corrects-all-single-storage",
@@ -211,12 +175,7 @@ def claim_matrix(scheme: SwapScheme) -> Dict[str, Claim]:
             + (" of the data or DP segment" if strict else "")
             + " is repaired in place: no DUE, returned data golden",
             _storage_weight_one(scheme, strict),
-            _check_single_storage_correct,
-            # the one claim whose coverage and verdicts the
-            # check-correction policy reshapes: a policy-only scheme
-            # delta re-sweeps exactly this claim
-            version=1, depends=SCHEME_COMPONENTS,
-            placements=("storage",))
+            _check_single_storage_correct)
     else:
         claims["detects-all-single-storage"] = Claim(
             "detects-all-single-storage",
@@ -224,9 +183,7 @@ def claim_matrix(scheme: SwapScheme) -> Dict[str, Claim]:
             "returned data golden (detect-only schemes never correct)",
             lambda strike: strike.placement == "storage"
             and strike.weight == 1,
-            _check_single_storage_detect,
-            version=1, depends=_CODE_COMPONENTS,
-            placements=("storage",))
+            _check_single_storage_detect)
     if hsiao_family:
         claims["ded-on-doubles"] = Claim(
             "ded-on-doubles",
@@ -235,9 +192,7 @@ def claim_matrix(scheme: SwapScheme) -> Dict[str, Claim]:
             "distance-4 double-error-detection guarantee",
             lambda strike: strike.placement == "storage"
             and strike.weight == 2,
-            _check_ded_on_doubles,
-            version=1, depends=_CODE_COMPONENTS,
-            placements=("storage",))
+            _check_ded_on_doubles)
     if isinstance(scheme.code, ResidueCode):
         claims["residue-arithmetic-coverage"] = Claim(
             "residue-arithmetic-coverage",
@@ -247,21 +202,12 @@ def claim_matrix(scheme: SwapScheme) -> Dict[str, Claim]:
             "±2^k errors are therefore detected, since no power of two "
             "is a multiple of 2^a - 1)",
             lambda strike: strike.placement == "arithmetic",
-            _check_residue_arithmetic,
-            version=1,
-            depends=("family", "code", "data_bits", "modulus", "h_matrix"),
-            placements=("arithmetic",))
+            _check_residue_arithmetic)
     claims["batched-read-equivalence"] = Claim(
         "batched-read-equivalence",
         "the vectorized read port (read_many) agrees with the scalar "
         "read bit-for-bit on every swept strike, evaluated in warp-sized "
         "correlated batches",
         lambda strike: True,
-        lambda scheme, strike, base, word, result: None,
-        # policy-independent: both read ports apply the policy through
-        # the same decode tables *after* status computation, so the
-        # equivalence claim certifies the batching transformation, which
-        # a policy-only delta cannot perturb
-        version=1, depends=_CODE_COMPONENTS,
-        placements=PLACEMENTS)
+        lambda scheme, strike, base, word, result: None)
     return claims

@@ -22,7 +22,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -44,11 +44,17 @@ CERTIFICATE_SCHEMA_VERSION = 1
 #: batch size of the correlated read_many equivalence pass — one warp
 WARP_LANES = 32
 
-#: default base data words swept under every strike (patterns that
-#: exercise all-zero, all-one, and alternating bit neighborhoods; seeded
-#: random words are appended per run)
+#: base data words swept under every strike (patterns that exercise
+#: all-zero, all-one, and alternating bit neighborhoods; seeded random
+#: words are appended per run)
 BASE_PATTERNS = (0x0000_0000, 0xFFFF_FFFF, 0xAAAA_AAAA, 0x5555_5555,
                  0xDEAD_BEEF)
+
+#: seeded random base words appended after :data:`BASE_PATTERNS`
+RANDOM_BASE_WORDS = 3
+
+#: random multi-bit strikes per stratum in ``full`` mode
+RANDOM_STRIKE_COUNT = 64
 
 
 def certification_registry() -> Dict[str, Callable[[], SwapScheme]]:
@@ -175,7 +181,7 @@ def capture_certificate_bundle(certificate: Certificate, out_dir: str,
         seed=certificate.seed, outcome=outcome, scheme=payload)
 
 
-def validate_artifact_dir(out_dir: str, what: str = "out_dir") -> None:
+def validate_artifact_dir(out_dir: str) -> None:
     """Reject artifact-directory arguments before any I/O happens.
 
     Empty strings and paths that already exist as plain files are
@@ -185,10 +191,10 @@ def validate_artifact_dir(out_dir: str, what: str = "out_dir") -> None:
     """
     if not isinstance(out_dir, str) or not out_dir:
         raise InvalidArgument(
-            f"{what} must be a non-empty path, got {out_dir!r}")
+            f"out_dir must be a non-empty path, got {out_dir!r}")
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise InvalidArgument(
-            f"{what} {out_dir!r} exists and is not a directory",
+            f"out_dir {out_dir!r} exists and is not a directory",
             context={"path": out_dir})
 
 
@@ -232,18 +238,12 @@ class Certifier:
     given ``seed``.
     """
 
-    def __init__(self, mode: str = "fast", seed: int = 0,
-                 random_base_words: int = 3, random_strike_count: int = 64):
+    def __init__(self, mode: str = "fast", seed: int = 0):
         if mode not in ("fast", "full"):
             raise CertificationError(
                 f"mode must be 'fast' or 'full', got {mode!r}")
-        if random_base_words < 0 or random_strike_count < 0:
-            raise CertificationError(
-                "random_base_words and random_strike_count must be >= 0")
         self.mode = mode
         self.seed = seed
-        self.random_base_words = random_base_words
-        self.random_strike_count = random_strike_count
 
     # -- sweep construction ------------------------------------------------
 
@@ -256,92 +256,45 @@ class Certifier:
             if value not in words:
                 words.append(value)
         rng = random.Random(self.seed ^ 0x5EED)
-        while len(words) < len(BASE_PATTERNS) + self.random_base_words:
+        while len(words) < len(BASE_PATTERNS) + RANDOM_BASE_WORDS:
             value = rng.getrandbits(scheme.data_bits) & width_mask
             if value not in words:
                 words.append(value)
         return words
 
-    def strikes(self, scheme: SwapScheme,
-                placements: Optional[set] = None) -> Iterator[Strike]:
-        """The swept strike space, exhaustive tier first (weight order).
-
-        ``placements`` restricts enumeration to the named strike
-        placements (a partial recertification enumerates only the
-        touched claims' placements); ``None`` enumerates everything.
-        Mixed-placement enumerators (burst, random) are filtered
-        per-strike.
-        """
-        want = None if placements is None else set(placements)
-
-        def wanted(strike: Strike) -> bool:
-            return want is None or strike.placement in want
-
-        if want is None or want.intersection(
-                ("pipeline-original", "pipeline-shadow-value",
-                 "pipeline-shadow-bus", "pipeline-dp")):
-            yield from filter(wanted,
-                              exhaustive_pipeline_strikes(scheme,
-                                                          max_weight=2))
-        if want is None or "storage" in want:
-            yield from exhaustive_storage_strikes(scheme, max_weight=2)
-        if hasattr(scheme.code, "modulus") \
-                and (want is None or "arithmetic" in want):
+    def strikes(self, scheme: SwapScheme) -> Iterator[Strike]:
+        """The swept strike space, exhaustive tier first (weight order)."""
+        yield from exhaustive_pipeline_strikes(scheme, max_weight=2)
+        yield from exhaustive_storage_strikes(scheme, max_weight=2)
+        if hasattr(scheme.code, "modulus"):
             rng = random.Random(self.seed ^ 0xA417)
             yield from arithmetic_strikes(scheme, rng)
         if self.mode == "full":
-            yield from filter(wanted, burst_strikes(scheme))
+            yield from burst_strikes(scheme)
             rng = random.Random(self.seed ^ 0xF011)
-            yield from filter(wanted,
-                              random_strikes(scheme, rng,
-                                             self.random_strike_count))
+            yield from random_strikes(scheme, rng, RANDOM_STRIKE_COUNT)
 
     # -- certification -----------------------------------------------------
 
-    def certify(self, scheme: SwapScheme, name: Optional[str] = None,
-                only: Optional[Sequence[str]] = None) -> Certificate:
-        """Sweep every strike over every base word and certify each claim.
-
-        ``only`` restricts the sweep to the named claims — the partial
-        pass behind incremental recertification.  A partial sweep
-        enumerates only the selected claims' placements and applies only
-        the strikes at least one selected claim covers, so
-        ``strikes_swept``/``tiers`` count exactly the re-swept space
-        (the untouched claims are stitched forward by the caller from
-        the prior certificate).
-        """
+    def certify(self, scheme: SwapScheme,
+                name: Optional[str] = None) -> Certificate:
+        """Sweep every strike over every base word and certify each claim."""
         claims = claim_matrix(scheme)
-        if only is not None:
-            unknown = sorted(set(only) - set(claims))
-            if unknown:
-                raise CertificationError(
-                    f"unknown claim(s) for {scheme.name!r}: {unknown}; "
-                    f"matrix: {sorted(claims)}")
-            claims = {claim_name: claim
-                      for claim_name, claim in claims.items()
-                      if claim_name in set(only)}
         reports = {claim_name: ClaimReport(claim_name, claim.description)
                    for claim_name, claim in claims.items()}
-        batch_report = reports.get("batched-read-equivalence")
+        batch_report = reports["batched-read-equivalence"]
         certificate = Certificate(
             scheme=name or scheme.name, code=scheme.code.name,
             mode=self.mode, seed=self.seed, claims=reports)
         bases = self.base_words(scheme)
         certificate.base_words = len(bases)
-        placements = None
-        if only is not None:
-            placements = set()
-            for claim in claims.values():
-                placements.update(claim.placements)
         per_strike = [(claim_name, claim)
                       for claim_name, claim in claims.items()
                       if claim_name != "batched-read-equivalence"]
         pending: List[_Pending] = []
-        for strike in self.strikes(scheme, placements):
+        for strike in self.strikes(scheme):
             covering = [(claim_name, claim) for claim_name, claim
                         in per_strike if claim.covers(strike)]
-            if only is not None and not covering and batch_report is None:
-                continue  # partial sweep: nothing selected constrains it
             certificate.tiers[strike.tier] = \
                 certificate.tiers.get(strike.tier, 0) + len(bases)
             for base in bases:
@@ -360,13 +313,11 @@ class Certifier:
                     if report.counterexample is None:
                         report.counterexample = self._counterexample(
                             scheme, claim, strike, base, violation)
-                if batch_report is None:
-                    continue
                 pending.append(_Pending(word, base, strike, result))
                 if len(pending) >= WARP_LANES:
                     self._check_batch(scheme, pending, batch_report)
                     pending = []
-        if pending and batch_report is not None:
+        if pending:
             self._check_batch(scheme, pending, batch_report)
         return certificate
 
@@ -458,21 +409,14 @@ class Certifier:
         return current, description
 
 
-def certify_scheme(name: str, mode: str = "fast", seed: int = 0,
-                   only: Optional[Sequence[str]] = None) -> Certificate:
-    """Certify one registered scheme by name (``only`` = claim subset)."""
+def certify_scheme(name: str, mode: str = "fast",
+                   seed: int = 0) -> Certificate:
+    """Certify one registered scheme by name."""
     return Certifier(mode=mode, seed=seed).certify(
-        make_certified_scheme(name), name=name, only=only)
+        make_certified_scheme(name), name=name)
 
 
-def certify_all(mode: str = "fast", seed: int = 0,
-                names: Optional[Sequence[str]] = None
-                ) -> Dict[str, Certificate]:
-    """Certify every registered scheme (or the named subset), in order."""
-    registry = certification_registry()
-    if names is None:
-        names = list(registry)
-    certificates = {}
-    for name in names:
-        certificates[name] = certify_scheme(name, mode=mode, seed=seed)
-    return certificates
+def certify_all(mode: str = "fast", seed: int = 0) -> Dict[str, Certificate]:
+    """Certify every registered scheme, in registry order."""
+    return {name: certify_scheme(name, mode=mode, seed=seed)
+            for name in certification_registry()}

@@ -37,13 +37,6 @@ from repro.bitutils import mask, popcount
 from repro.ecc.swap import RegisterWord, SwapScheme
 from repro.errors import CertificationError
 
-#: version of the strike-space *shape* — the enumerators, their tiers,
-#: and their parameter semantics.  Part of the fault-model fingerprint a
-#: cached certificate is keyed under: a certificate is only valid for
-#: the strike space it was swept against, so changing an enumerator
-#: must bump this and thereby invalidate every cached entry.
-STRIKE_SPACE_VERSION = 1
-
 #: the error-entry placements a Strike may name, in sweep order
 PLACEMENTS = ("pipeline-original", "pipeline-shadow-value",
               "pipeline-shadow-bus", "pipeline-dp", "storage", "arithmetic")

@@ -357,52 +357,6 @@ class CertificationError(ReproError):
     recoverable = False
 
 
-class CertStoreError(ReproError):
-    """The certificate store could not serve or persist an entry.
-
-    The umbrella code for cache-layer failures in
-    :mod:`repro.certify.store` — a lock that could not be taken, a
-    latest-pointer that names a missing entry, a dead-letter move that
-    failed.  ``degraded`` because the store always has a sound fallback:
-    fall through to a fresh certify sweep and rebuild the entry.
-    """
-
-    code = "certify.store"
-    severity = "degraded"
-    recoverable = True
-
-
-class CertEntryCorrupt(CertStoreError):
-    """A cached certificate failed its integrity envelope on read.
-
-    A torn write the atomic-rename discipline should have prevented, a
-    flipped byte, or a hand-edited entry: the canonical payload no
-    longer hashes to the envelope's recorded sha256/CRC32.  The entry is
-    quarantined to the store's dead-letter directory with this record
-    (and a repro bundle) and is never served; the request falls through
-    to a fresh sweep, hence ``degraded``/recoverable.
-    """
-
-    code = "certify.store_corrupt"
-    severity = "degraded"
-    recoverable = True
-
-
-class StaleCertificate(CertStoreError):
-    """Strict mode refused to serve a superseded certificate.
-
-    In graceful-degradation mode the service serves the prior
-    certificate marked with a ``staleness`` descriptor while a
-    recertification sweep is in flight; ``--strict`` turns that into
-    this typed refusal instead.  ``transient`` because retrying after
-    the in-flight sweep lands is the designed response.
-    """
-
-    code = "certify.stale_certificate"
-    severity = "transient"
-    recoverable = True
-
-
 class ClaimViolation(ReproError):
     """A certified guarantee claim was violated by a counterexample.
 

@@ -776,11 +776,11 @@ def run_certify_batch(params: Dict[str, Any], context: Any,
     escape, not a detected one).  The monitored proportion is therefore
     the claim-check pass rate — 1.0 for a certified scheme — and the full
     certificate dict rides along as the batch payload so journals and
-    artifacts retain verdicts, swept spaces, and counterexamples.
+    artifacts retain verdicts, swept spaces, and counterexamples; a
+    resumed campaign replays it from the journal without a second sweep.
     """
     from repro.certify import Certifier, certify_scheme
     mode = params.get("mode", "fast")
-    only = params.get("claims")  # claim subset: incremental recert sweep
     prebuilt = context.get("scheme") if isinstance(context, dict) else None
     if prebuilt is None and params.get("tamper") is not None:
         # a JSON tamper spec survives the journal (unlike a prebuilt
@@ -790,10 +790,10 @@ def run_certify_batch(params: Dict[str, Any], context: Any,
         prebuilt = build_tampered_scheme(params["tamper"])
     if prebuilt is not None:
         certificate = Certifier(mode=mode, seed=batch.seed).certify(
-            prebuilt, name=params.get("scheme"), only=only)
+            prebuilt, name=params.get("scheme"))
     else:
         certificate = certify_scheme(params["scheme"], mode=mode,
-                                     seed=batch.seed, only=only)
+                                     seed=batch.seed)
     counts = _empty_counts()
     trials = 0
     violations = 0
@@ -956,26 +956,21 @@ def gpu_recovery_work_unit(workload: str, compile_scheme: str = "swap-ecc",
 
 def certify_work_unit(scheme: str, mode: str = "fast", seed: int = 0,
                       scheme_instance: Any = None,
-                      claims: Optional[Sequence[str]] = None,
                       unit_id: Optional[str] = None) -> WorkUnit:
     """A guarantee-certification work unit (see :func:`run_certify_batch`).
 
-    ``scheme_instance`` overrides the registry lookup with a prebuilt
+    This is the resumable way to certify: run through a journaled
+    :class:`CampaignEngine`, a finished unit replays its certificate
+    from the journal instead of sweeping again.  ``scheme_instance``
+    overrides the registry lookup with a prebuilt
     :class:`~repro.ecc.swap.SwapScheme` — the route for certifying
     tampered schemes through the engine; it rides in ``context`` so the
-    journaled params stay JSON-serializable.  ``claims`` restricts the
-    sweep to a claim subset — the partial unit the certificate store's
-    incremental recertification launches; the subset is journaled in
-    ``params`` so a resumed partial sweep re-checks the same claims.
+    journaled params stay JSON-serializable.
     """
     params = {"scheme": scheme, "mode": mode, "seed": seed}
-    suffix = ""
-    if claims is not None:
-        params["claims"] = sorted(claims)
-        suffix = f"/claims-{len(params['claims'])}"
     context = {"scheme": scheme_instance} \
         if scheme_instance is not None else None
-    return WorkUnit(unit_id=unit_id or f"certify/{scheme}/{mode}{suffix}",
+    return WorkUnit(unit_id=unit_id or f"certify/{scheme}/{mode}",
                     kind="certify", params=params, context=context)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.certify import tampered_secded_dp
+from repro.certify import certify_scheme, tampered_secded_dp
 from repro.errors import InjectionError
 from repro.inject import (CampaignEngine, EngineConfig, certify_work_unit,
                           detection_coverage, mbu_sweep_work_unit)
@@ -45,6 +45,28 @@ class TestCertifyUnit:
         report = inline_engine().run([certify_work_unit("mod7")])
         unit = report.units["certify/mod7/fast"]
         assert unit.successes == unit.trials
+
+    @pytest.mark.parametrize("isolation", ["inline", "process"])
+    def test_journaled_unit_replays_without_a_second_sweep(
+            self, tmp_path, isolation):
+        journal = str(tmp_path / "certify.jsonl")
+
+        def run():
+            engine = CampaignEngine(EngineConfig(
+                batch_size=1, max_batches=1, ci_half_width=None,
+                timeout_s=None, isolation=isolation))
+            report = engine.run([certify_work_unit("secded-dp")],
+                                journal_path=journal)
+            return report.units["certify/secded-dp/fast"].payloads
+
+        first = run()
+        with open(journal, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        second = run()
+        with open(journal, encoding="utf-8") as handle:
+            assert handle.readlines() == lines
+        assert first == second
+        assert first == [certify_scheme("secded-dp").to_dict()]
 
 
 class TestMbuSweepUnit:
