@@ -77,8 +77,6 @@ def parse_args(argv=None):
                         metavar="S", help="lease TTL in seconds")
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign base seed (coordinator)")
-    parser.add_argument("--bundle-dir", default=None, metavar="DIR",
-                        help="export terminal failures as repro bundles")
     parser.add_argument("--worker-id", default="worker-0",
                         help="this worker's stable identity")
     parser.add_argument("--chaos-seed", type=int, default=None,
@@ -105,7 +103,7 @@ def run_coordinator(args) -> int:
              for index, name in enumerate(UNIT_ORDER)]
     config = FabricConfig(
         shards=args.shards, lease_ttl_s=args.lease_ttl,
-        install_signal_handlers=False, bundle_dir=args.bundle_dir,
+        install_signal_handlers=False,
         engine=EngineConfig(batch_size=args.samples, max_batches=1,
                             ci_half_width=None, timeout_s=None))
     listener = UnixSocketListener(args.listen)

@@ -38,7 +38,6 @@ Usage::
         [--max-rss MB] [--max-cpu S] [--heartbeat S] [--quarantine K]
         [--salvage] [--no-supervisor]
         [--shards N] [--lease-ttl S] [--steal yes|no]
-        [--bundle-dir DIR]
 
 On a shared 2-vCPU VM the defaults (600 samples, 200 sites) finish in
 about 3 s (21 s with the earlier fan-out-cone re-sweep), and EXPERIMENTS.md's
@@ -104,11 +103,6 @@ def parse_args():
                         help="re-grant expired/dead leases to fresh "
                              "holders (default yes); 'no' fails the "
                              "fabric on the first lost lease")
-    parser.add_argument("--bundle-dir", default=None, metavar="DIR",
-                        help="export a deterministic repro bundle for "
-                             "every terminal failure (crash, hang, "
-                             "quarantine, lease/merge conflict); replay "
-                             "with examples/replay_bundle.py")
     return parser.parse_args()
 
 
@@ -156,7 +150,7 @@ def main():
         journal_path=args.journal, engine_config=engine_config,
         supervisor=supervisor, salvage=args.salvage,
         shards=args.shards, lease_ttl_s=args.lease_ttl,
-        steal=args.steal == "yes", bundle_dir=args.bundle_dir)
+        steal=args.steal == "yes")
 
     print("\nFigure 10 — unmasked error severity per unit")
     print(render_figure10(study))

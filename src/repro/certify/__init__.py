@@ -28,7 +28,6 @@ prove the certifier can fail.
 from repro.certify.claims import Claim, claim_matrix
 from repro.certify.engine import (CERTIFICATE_SCHEMA_VERSION, Certificate,
                                   Certifier, ClaimReport,
-                                  capture_certificate_bundle,
                                   certification_registry, certify_all,
                                   certify_scheme, make_certified_scheme,
                                   validate_artifact_dir, write_certificate)
@@ -37,14 +36,14 @@ from repro.certify.strikes import (PIPELINE_PLACEMENTS, PLACEMENTS, Strike,
                                    burst_strikes, correlated_lane_batch,
                                    exhaustive_pipeline_strikes,
                                    exhaustive_storage_strikes, random_strikes)
-from repro.certify.tamper import build_tampered_scheme, tampered_secded_dp
+from repro.certify.tamper import tampered_secded_dp
 
 __all__ = [
     "CERTIFICATE_SCHEMA_VERSION", "Certificate", "Certifier", "Claim",
     "ClaimReport", "PIPELINE_PLACEMENTS", "PLACEMENTS", "Strike",
-    "apply_strike", "arithmetic_strikes", "build_tampered_scheme",
-    "burst_strikes", "capture_certificate_bundle", "certification_registry",
-    "certify_all", "certify_scheme", "claim_matrix", "correlated_lane_batch",
+    "apply_strike", "arithmetic_strikes", "burst_strikes",
+    "certification_registry", "certify_all", "certify_scheme",
+    "claim_matrix", "correlated_lane_batch",
     "exhaustive_pipeline_strikes", "exhaustive_storage_strikes",
     "make_certified_scheme", "random_strikes", "tampered_secded_dp",
     "validate_artifact_dir", "write_certificate",

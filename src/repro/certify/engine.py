@@ -149,38 +149,6 @@ class Certificate:
         }
 
 
-def capture_certificate_bundle(certificate: Certificate, out_dir: str,
-                               tamper=None) -> Optional[str]:
-    """Export a FAILED certificate as a replayable repro bundle.
-
-    The certifier-side capture hook: a violated guarantee becomes a
-    ``certify``-trial bundle whose replay re-certifies the same scheme —
-    rebuilt from its registry name, or from the JSON ``tamper`` spec
-    (see :func:`repro.certify.tamper.build_tampered_scheme`) for
-    deliberately broken schemes — under the recorded mode and seed, and
-    must reproduce the identical violated claims and counterexamples.
-    Returns the bundle path, or None for a passed certificate.
-    """
-    if certificate.passed:
-        return None
-    from repro.bundle import capture_bundle, certificate_outcome
-    from repro.errors import ClaimViolation
-
-    payload = certificate.to_dict()
-    outcome = certificate_outcome(payload)
-    error = ClaimViolation(outcome["message"], context=outcome["context"])
-    trial = {
-        "kind": "certify", "scheme": certificate.scheme,
-        "mode": certificate.mode, "seed": certificate.seed,
-        "certificate_schema": CERTIFICATE_SCHEMA_VERSION,
-    }
-    if tamper is not None:
-        trial["tamper"] = tamper
-    return capture_bundle(
-        error, capture_point="certifier", out_dir=out_dir, trial=trial,
-        seed=certificate.seed, outcome=outcome, scheme=payload)
-
-
 def validate_artifact_dir(out_dir: str) -> None:
     """Reject artifact-directory arguments before any I/O happens.
 

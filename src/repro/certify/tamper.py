@@ -15,8 +15,6 @@ Test-only: nothing here is registered in the certification registry.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Union
-
 from repro.ecc.hsiao import HsiaoSecDed
 from repro.ecc.linear import LinearCode, odd_weight_columns
 from repro.ecc.swap import SecDedDpSwap
@@ -79,39 +77,3 @@ def tampered_secded_dp(kind: str = "zero-column",
     scheme = SecDedDpSwap(code)
     scheme.name = f"secded-dp-tampered-{kind}"
     return scheme
-
-
-#: tamper factory name -> builder (the certification tamper registry;
-#: deliberately *not* part of the scheme registry)
-TAMPER_FACTORIES = {
-    "secded-dp": tampered_secded_dp,
-}
-
-
-def build_tampered_scheme(spec: Union[str, Dict[str, Any]]) -> SecDedDpSwap:
-    """Rebuild a tampered scheme from a JSON-serializable *spec*.
-
-    ``spec`` is either a factory name or a dict ``{"factory": name,
-    "kind": ..., "position": ...}`` (the form repro bundles serialize),
-    so a FAILED certificate exported as a bundle reconstructs the exact
-    defective scheme — and its weight-minimal counterexample — from the
-    manifest alone.
-    """
-    if isinstance(spec, str):
-        spec = {"factory": spec}
-    if not isinstance(spec, dict) or "factory" not in spec:
-        raise CertificationError(
-            f"tamper spec must be a factory name or {{'factory': name}} "
-            f"dict, got {spec!r}")
-    name = spec["factory"]
-    factory = TAMPER_FACTORIES.get(name)
-    if factory is None:
-        raise CertificationError(
-            f"unknown tamper factory {name!r}; choose from "
-            f"{sorted(TAMPER_FACTORIES)}")
-    kwargs = {key: value for key, value in spec.items() if key != "factory"}
-    try:
-        return factory(**kwargs)
-    except TypeError as exc:
-        raise CertificationError(
-            f"bad tamper spec for factory {name!r}: {exc}") from None

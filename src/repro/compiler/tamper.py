@@ -14,8 +14,8 @@ late-checked kernel through the recovery ladder and assert the auditor
 raises :class:`~repro.errors.ContainmentViolation`.
 
 Tampered passes are addressed by a JSON-serializable *spec* (``{"pass":
-"swdup-late-check"}``) so a failure caught under one can be exported as
-a repro bundle and rebuilt bit-identically on another machine.
+"swdup-late-check"}``) so a gpu-recovery unit can carry one in its
+journaled params, and a failure caught under it reruns from the journal.
 Test-only: nothing here is registered in the scheme registry.
 """
 
@@ -87,8 +87,8 @@ def compile_tampered(kernel: Kernel,
     """Compile ``kernel`` under the tampered pass named by ``spec``.
 
     ``spec`` is either the pass name or a JSON dict ``{"pass": name}``
-    (the form repro bundles serialize), so a bundle replay reconstructs
-    the exact defective binary from the manifest alone.
+    (the form a unit's journaled params carry), so a rerun from the
+    journal rebuilds the exact defective binary.
     """
     if isinstance(spec, str):
         spec = {"pass": spec}

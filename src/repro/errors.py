@@ -3,11 +3,10 @@
 Every exception carries a *stable, dot-namespaced diagnostic code* (the
 ``code`` class attribute — ``inject.lease_expired``,
 ``journal.merge_conflict``, ...) plus a *severity class* and a
-*recoverability flag*, so campaign journals, merged reports, repro
-bundles, and service-layer clients can match on failures without
-parsing messages.  Codes are registered at class-definition time
-through :meth:`ReproError.__init_subclass__`, which enforces the
-contract:
+*recoverability flag*, so campaign journals, merged reports and
+service-layer clients can match on failures without parsing messages.
+Codes are registered at class-definition time through
+:meth:`ReproError.__init_subclass__`, which enforces the contract:
 
 * every subclass must declare its *own* ``code`` (no silent
   inheritance of the parent's identity);
@@ -52,7 +51,7 @@ SEVERITIES = ("fatal", "degraded", "transient", "config")
 
 #: well-known context fields and their required types.  Other keys are
 #: allowed (subsystems attach what they know), but these names are the
-#: shared vocabulary bundles and reports match on, so a wrong type here
+#: shared vocabulary journals and reports match on, so a wrong type here
 #: is a programming error caught at raise time.
 CONTEXT_FIELD_TYPES: Dict[str, type] = {
     "unit": str,       # work-unit id
@@ -227,7 +226,7 @@ class ReproError(Exception):
         return (_rebuild_error, (type(self), self.args), dict(self.__dict__))
 
     def to_record(self) -> Dict[str, Any]:
-        """The JSON-safe journal/bundle form of this error."""
+        """The JSON-safe journal form of this error."""
         return {
             "code": self.code,
             "severity": self.severity,
@@ -267,8 +266,8 @@ class InvalidArgument(ReproError, ValueError):
     The typed form of argument validation (negative widths, empty
     layouts, schemes missing a required bit class).  Subclasses
     :class:`ValueError` so callers using idiomatic ``except ValueError``
-    keep working, while journals and bundles see a registered code
-    instead of an anonymous builtin.
+    keep working, while journals see a registered code instead of an
+    anonymous builtin.
     """
 
     code = "repro.invalid_argument"
@@ -346,10 +345,9 @@ class CertificationError(ReproError):
 
     Distinct from a *violated claim* — a violation is a legitimate
     certifier verdict recorded in the certificate artifact (typed as
-    :class:`ClaimViolation` when a failed certificate is exported as a
-    repro bundle), while this exception means the certification request
-    itself was malformed (unknown scheme, empty strike space, unwritable
-    artifact path).
+    :class:`ClaimViolation`), while this exception means the
+    certification request itself was malformed (unknown scheme, empty
+    strike space, unwritable artifact path).
     """
 
     code = "certify.misconfigured"
@@ -363,9 +361,7 @@ class ClaimViolation(ReproError):
     The typed form of a FAILED certificate: the certifier found a
     concrete strike the scheme's claim says cannot exist.  ``fatal``
     because a violated claim means the scheme's guarantee surface is
-    unsound — every campaign result relying on it is suspect.  Carried
-    in repro bundles (and raisable by strict gates) so claim violations
-    travel with the same code/severity/context machinery as crashes.
+    unsound — every campaign result relying on it is suspect.
     """
 
     code = "certify.claim_violated"
@@ -429,21 +425,6 @@ class WorkloadError(ReproError):
     """A workload failed to build inputs or verify outputs."""
 
     code = "workloads.invalid"
-    severity = "config"
-    recoverable = False
-
-
-class BundleError(ReproError):
-    """A repro bundle was malformed, tampered with, or unreadable.
-
-    Raised by :mod:`repro.bundle` when a bundle fails its content-hash
-    check, is missing manifest fields, or names a trial this build
-    cannot reconstruct.  ``config`` because the bundle (the input) is
-    at fault, not the engine — a *schema version* mismatch is not an
-    error at all but the ``STALE_SCHEMA`` replay verdict.
-    """
-
-    code = "bundle.invalid"
     severity = "config"
     recoverable = False
 

@@ -48,8 +48,7 @@ def run_injection_study(sample_count: int = 1000,
                         shards: Optional[int] = None,
                         fabric_dir: Optional[str] = None,
                         lease_ttl_s: float = 30.0,
-                        steal: bool = True,
-                        bundle_dir: Optional[str] = None) -> InjectionStudy:
+                        steal: bool = True) -> InjectionStudy:
     """Run the six-unit campaign and fold in every Figure 11 code.
 
     ``journal_path``/``journal_fsync``/``engine_config`` flow to the
@@ -68,9 +67,7 @@ def run_injection_study(sample_count: int = 1000,
     by forked holders of one coordinator, heartbeat-TTL work stealing
     (``steal``, ``lease_ttl_s``), crash-tolerant coordination, and a
     deterministic merge of the per-shard journals; it cannot be
-    combined with ``trace``.  ``bundle_dir`` exports a
-    deterministic repro bundle (:mod:`repro.bundle`) for every terminal
-    failure.
+    combined with ``trace``.
     """
     campaigns = run_full_campaign(sample_count, site_count, seed, trace,
                                   units, journal_path=journal_path,
@@ -78,8 +75,7 @@ def run_injection_study(sample_count: int = 1000,
                                   engine_config=engine_config,
                                   supervisor=supervisor, salvage=salvage,
                                   shards=shards, fabric_dir=fabric_dir,
-                                  lease_ttl_s=lease_ttl_s, steal=steal,
-                                  bundle_dir=bundle_dir)
+                                  lease_ttl_s=lease_ttl_s, steal=steal)
     schemes = figure11_schemes()
     severity = {}
     risk = {}

@@ -142,16 +142,10 @@ class ContainmentAuditor:
     """
 
     def __init__(self, kernel: Kernel, launch: LaunchConfig,
-                 raise_on_violation: bool = True,
-                 on_violation: Optional[Callable] = None):
+                 raise_on_violation: bool = True):
         self.kernel = kernel
         self.launch = launch
         self.raise_on_violation = raise_on_violation
-        #: optional sink called with the :class:`ContainmentViolation`
-        #: *before* it is raised (or recorded, when raising is off) —
-        #: how bundle-capture hooks observe violations without wrapping
-        #: every ladder call site
-        self.on_violation = on_violation
         self.audits = 0
         self.violations: List[tuple] = []
         self._register_count = max(kernel.register_count(), 1)
@@ -173,21 +167,15 @@ class ContainmentAuditor:
                     np.nonzero(clean.words != memory.words)[0]]
         if diverged:
             self.violations.append((cta_index, diverged))
-            suffix = f" ({detail})" if detail else ""
-            violation = ContainmentViolation(
-                f"{self.kernel.name}: CTA {cta_index} leaked "
-                f"{len(diverged)} corrupted words to memory before "
-                f"detection (first at address {diverged[0]}){suffix}",
-                context={"cta": cta_index, "address": diverged[0],
-                         "leaked_words": len(diverged),
-                         "kernel": self.kernel.name})
-            if self.on_violation is not None:
-                try:
-                    self.on_violation(violation)
-                except Exception:
-                    pass  # a capture sink must never mask the violation
             if self.raise_on_violation:
-                raise violation
+                suffix = f" ({detail})" if detail else ""
+                raise ContainmentViolation(
+                    f"{self.kernel.name}: CTA {cta_index} leaked "
+                    f"{len(diverged)} corrupted words to memory before "
+                    f"detection (first at address {diverged[0]}){suffix}",
+                    context={"cta": cta_index, "address": diverged[0],
+                             "leaked_words": len(diverged),
+                             "kernel": self.kernel.name})
         return diverged
 
 

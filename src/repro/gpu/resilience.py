@@ -155,7 +155,7 @@ class FaultPlan:
         return strike
 
     def to_dict(self) -> Dict[str, object]:
-        """The JSON form of this plan (for journals and repro bundles)."""
+        """The JSON form of this plan (for journals and failure records)."""
         return {
             "cta_index": self.cta_index,
             "warp_index": self.warp_index,

@@ -85,8 +85,7 @@ def run_full_campaign(sample_count: int = 1000,
                       fabric_dir: Optional[str] = None,
                       lease_ttl_s: float = 30.0,
                       steal: bool = True,
-                      fabric_config=None,
-                      bundle_dir: Optional[str] = None
+                      fabric_config=None
                       ) -> Dict[str, CampaignResult]:
     """Campaigns for every Figure 10 unit, keyed by unit name.
 
@@ -141,11 +140,6 @@ def run_full_campaign(sample_count: int = 1000,
     its own supervisor.  Shards ship their units to holders as
     messages, so ``trace`` cannot be combined with ``shards``: it
     raises :class:`~repro.errors.FabricConfigError`.
-
-    ``bundle_dir`` names a directory where every terminal failure —
-    crashed/hung/quarantined units, lease-grant refusals, merge
-    conflicts — exports a deterministic repro bundle
-    (:mod:`repro.bundle`) alongside the campaign journal.
     """
     import dataclasses
 
@@ -155,16 +149,13 @@ def run_full_campaign(sample_count: int = 1000,
     if engine_config is None:
         engine_config = EngineConfig(
             batch_size=sample_count, max_batches=1, ci_half_width=None,
-            timeout_s=None, journal_fsync=journal_fsync, salvage=salvage,
-            bundle_dir=bundle_dir)
+            timeout_s=None, journal_fsync=journal_fsync, salvage=salvage)
     else:
         overrides = {}
         if journal_fsync and not engine_config.journal_fsync:
             overrides["journal_fsync"] = True
         if salvage and not engine_config.salvage:
             overrides["salvage"] = True
-        if bundle_dir is not None and engine_config.bundle_dir is None:
-            overrides["bundle_dir"] = bundle_dir
         if overrides:
             engine_config = dataclasses.replace(engine_config, **overrides)
     work = [gate_work_unit(name, site_count=site_count, seed=seed + index,
@@ -181,7 +172,7 @@ def run_full_campaign(sample_count: int = 1000,
         if fabric_config is None:
             fabric_config = FabricConfig(
                 shards=shards, lease_ttl_s=lease_ttl_s, steal=steal,
-                engine=engine_config, bundle_dir=bundle_dir)
+                engine=engine_config)
         fabric_report = run_fabric_campaign(work, fabric_dir,
                                             fabric_config)
         merged = merged_gate_results(fabric_report.report)

@@ -18,7 +18,9 @@ journal itself (:class:`~repro.inject.journal.JournalCursor`) into the
 global Wilson estimator, deduped by ``(unit, batch index)``; the frame
 protocol carries lease control only.  Divergent batch counts surface
 where every holder's journal meets: the merge raises
-:class:`~repro.errors.MergeConflict`, bundled before it propagates.
+:class:`~repro.errors.MergeConflict`, and rerunning
+:func:`~repro.inject.merge.merge_fabric_dir` on the fabric dir raises it
+again.
 
 **The protocol is idempotent under at-least-once delivery.**  The
 transport may drop, duplicate, reorder, or delay any frame (that is
@@ -48,9 +50,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import (FabricConfigError, FabricError, MergeConflict,
+from repro.errors import (FabricConfigError, FabricError,
                           StaleFencingToken, LeaseExpired, TransportClosed,
                           FrameError)
 from repro.inject.engine import WilsonEstimate, WorkUnit, wilson_interval
@@ -267,18 +269,12 @@ class CoordinatorService:
         Paused-ness comes from the merge *and* the lease table (a shard
         drained between units leaves nothing in any journal);
         ``fabric_done`` is journaled on full completion.  A merge
-        conflict is exported as a repro bundle before it propagates.
+        conflict propagates; :func:`~repro.inject.merge.merge_fabric_dir`
+        over the same ``fabric_dir`` raises it again.
         """
-        paths = fabric_journal_paths(self.fabric_dir)
-        try:
-            merged = merge_shard_journals(
-                paths, z=self.config.z,
-                stopped_globally=self._stopped_globally)
-        except MergeConflict as exc:
-            self._capture(exc, "fabric.merge", paths,
-                          lambda bundle: bundle.merge_outcome(exc),
-                          trial={"kind": "merge"})
-            raise
+        merged = merge_shard_journals(
+            fabric_journal_paths(self.fabric_dir), z=self.config.z,
+            stopped_globally=self._stopped_globally)
         merged_path = self._path(MERGED_REPORT)
         write_merged_report(merged, merged_path)
         paused = merged.report.paused or any(
@@ -302,48 +298,6 @@ class CoordinatorService:
             merged_report_path=merged_path, shard_status=status,
             stopped_globally=self._stopped_globally, paused=paused,
             estimate=merged.estimate)
-
-    def _capture(self, error: Exception, capture_point: str,
-                 paths: Sequence[str], outcome: Callable[[Any], Any],
-                 trial: Optional[Dict[str, Any]] = None) -> None:
-        """Best-effort repro bundle of ``error`` freezing ``paths``.
-
-        ``outcome`` maps the :mod:`repro.bundle` module to the outcome
-        dict the replay must match.
-        """
-        if self.config.bundle_dir is None:
-            return
-        try:
-            import repro.bundle as bundle
-            bundle.capture_bundle(
-                error, capture_point=capture_point,
-                out_dir=self.config.bundle_dir, trial=trial,
-                outcome=outcome(bundle),
-                journal_files={os.path.basename(path): path
-                               for path in paths} or None)
-        except Exception:
-            pass  # a lost bundle must never mask the failure it records
-
-    def _lease_failure(self, shard: str, message: str,
-                       token: int) -> FabricError:
-        """A terminal lease failure, its lease journals bundled.
-
-        The failure is timing-dependent and cannot re-run, but what
-        reached the shard's lease journals is deterministic, so the
-        bundle's ``journal-verify`` trial matches their digest on replay.
-        """
-        error = FabricError(message, context={"shard": shard,
-                                              "token": token})
-        paths = [lease_journal_path(self.fabric_dir, shard, number)
-                 for number in range(1, self.table.token(shard) + 1)]
-        paths = [path for path in paths if os.path.exists(path)]
-        if paths:
-            self._capture(
-                error, "fabric.lease", paths,
-                lambda bundle: {"code": error.code,
-                                "journals": bundle.journal_digest(paths)},
-                trial={"kind": "journal-verify"})
-        return error
 
     def _loop(self) -> None:
         while True:
@@ -441,8 +395,8 @@ class CoordinatorService:
             "units": [wire_unit(unit) for unit in self.plan[shard]],
             "journal": lease_journal_path(self.fabric_dir, shard, token),
             "header": lease_header(shard, token, len(self.plan)),
-            # the whole config, not the journaled to_dict(): fsync,
-            # salvage and bundle_dir must reach the holder's engine
+            # the whole config, not the journaled to_dict(): fsync and
+            # salvage must reach the holder's engine
             "engine": dataclasses.asdict(
                 self.config.shard_engine_config()),
             "heartbeat_interval_s": self.config.heartbeat_interval_s}
@@ -487,18 +441,19 @@ class CoordinatorService:
         if previous is not None:
             if not self.config.steal and \
                     previous.reason not in _BENIGN_EXPIRY:
-                raise self._lease_failure(
-                    shard,
+                raise FabricError(
                     f"shard {shard!r} lost lease token {previous.token} "
                     f"({previous.reason or 'expired'}) and work stealing "
-                    f"is disabled (steal=False)", previous.token)
+                    f"is disabled (steal=False)",
+                    context={"shard": shard, "token": previous.token})
             if self.table.token(shard) >= self.config.max_lease_attempts:
-                raise self._lease_failure(
-                    shard,
+                raise FabricError(
                     f"shard {shard!r} exhausted its "
                     f"{self.config.max_lease_attempts} lease attempts; "
                     f"poison shard — inspect its lease journals under "
-                    f"{self.fabric_dir!r}", self.table.token(shard))
+                    f"{self.fabric_dir!r}",
+                    context={"shard": shard,
+                             "token": self.table.token(shard)})
         lease = self.table.grant(shard)
         journal_path = lease_journal_path(self.fabric_dir, shard,
                                           lease.token)

@@ -100,8 +100,11 @@ def wilson_interval(successes: int, trials: int,
     the extremes (0 or all successes), which campaigns hit routinely.
     Zero trials is legal — a unit that crashed before producing data —
     and yields the uninformative estimate (rate 0, interval [0, 1]);
-    more successes than trials is always a caller bug and raises.
+    more successes than trials, or a non-positive ``z``, is always a
+    caller bug and raises.
     """
+    if z <= 0:
+        raise InjectionError(f"z must be positive, got {z}")
     if trials < 0:
         raise InjectionError(f"trials must be >= 0, got {trials}")
     if successes < 0:
@@ -199,12 +202,6 @@ class EngineConfig:
     #: bad record (deterministic seeds re-derive the lost batches);
     #: default False raises on any CRC/index/decode failure
     salvage: bool = False
-    #: directory to export :mod:`repro.bundle` repro bundles into when a
-    #: unit terminally fails or a certification comes back FAILED (None
-    #: disables capture); deliberately absent from :meth:`to_dict` — it
-    #: is an operator-side diagnostic sink, not a statistical knob, so
-    #: resumed campaigns may point it anywhere
-    bundle_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -216,6 +213,9 @@ class EngineConfig:
         if self.max_retries < 0:
             raise InjectionError(
                 f"max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff_s < 0:
+            raise InjectionError(
+                f"backoff_s must be >= 0, got {self.backoff_s}")
         if self.backoff_max_s <= 0:
             raise InjectionError(
                 f"backoff_max_s must be positive, got {self.backoff_max_s}")
@@ -227,6 +227,8 @@ class EngineConfig:
             raise InjectionError(
                 f"timeout_s must be positive (or None), got "
                 f"{self.timeout_s}")
+        if self.z <= 0:
+            raise InjectionError(f"z must be positive, got {self.z}")
         if self.isolation not in ("process", "inline"):
             raise InjectionError(
                 f"unknown isolation {self.isolation!r}")
@@ -355,10 +357,11 @@ def register_unit_kind(kind: str, runner: Callable,
 def unit_runner(kind: str) -> Callable:
     """The registered batch runner for ``kind``.
 
-    The lookup :func:`repro.bundle.replay` uses to re-execute a bundled
-    batch inline: a unit-batch bundle names its kind in the trial spec,
-    and the replay engine resolves it here rather than pickling the
-    callable into the bundle.
+    How a failed batch reruns inline from its journal:
+    ``unit_runner(kind)(params, None, BatchSpec(batch, batch_size,
+    seed))`` with the ``unit_started`` kind and params, the ``config``
+    record's ``batch_size``, and the ``batch`` and ``seed`` of an entry
+    in the failure log the unit's terminal record carries.
     """
     runner = _RUNNERS.get(kind)
     if runner is None:
@@ -727,8 +730,7 @@ def run_gpu_recovery_batch(params: Dict[str, Any], context: Any,
                                      config=ladder, auditor=auditor)
         except ContainmentViolation as exc:
             # enrich the auditor's diagnosis with the exact trial inputs
-            # so the engine-side capture hook can export a bundle that
-            # replays this one strike from the manifest alone
+            # so the journaled failure record reruns this one strike
             context = dict(getattr(exc, "context", {}) or {})
             context.update({
                 "seed": batch.seed, "batch": batch.index,
@@ -782,12 +784,6 @@ def run_certify_batch(params: Dict[str, Any], context: Any,
     from repro.certify import Certifier, certify_scheme
     mode = params.get("mode", "fast")
     prebuilt = context.get("scheme") if isinstance(context, dict) else None
-    if prebuilt is None and params.get("tamper") is not None:
-        # a JSON tamper spec survives the journal (unlike a prebuilt
-        # scheme object), so tampered certification units resume and
-        # export as repro bundles like any other
-        from repro.certify.tamper import build_tampered_scheme
-        prebuilt = build_tampered_scheme(params["tamper"])
     if prebuilt is not None:
         certificate = Certifier(mode=mode, seed=batch.seed).certify(
             prebuilt, name=params.get("scheme"))
@@ -1007,8 +1003,9 @@ def _batch_seed(params: Dict[str, Any], index: int) -> int:
 
 
 #: spacing between *shard* seed bases — wide enough that every batch
-#: seed a shard can derive (``max_batches`` strides of
-#: ``_BATCH_SEED_STRIDE``) stays disjoint from its neighbors'
+#: seed a shard of up to 4096 batches can derive stays disjoint from its
+#: neighbors' (:class:`~repro.inject.fabric.FabricConfig` refuses a
+#: replicated campaign with more)
 SHARD_SEED_STRIDE = _BATCH_SEED_STRIDE * 4096
 
 
@@ -1017,20 +1014,21 @@ def shard_unit_id(unit_id: str, shard_index: int) -> str:
     return f"{unit_id}@s{shard_index}"
 
 
-def shard_work_unit(unit: WorkUnit, shard_index: int, shard_count: int,
-                    stride: int = SHARD_SEED_STRIDE) -> WorkUnit:
+def shard_work_unit(unit: WorkUnit, shard_index: int,
+                    shard_count: int) -> WorkUnit:
     """Clone ``unit`` for one shard of a fleet-wide scale-out sweep.
 
     The clone gets a shard-aware unit id (``<id>@s<k>``) and a seed base
-    offset by ``shard_index * stride``, so the fleet samples ``shard_count``
-    disjoint deterministic seed ranges of the same campaign — the shape
-    the fabric's *global* Wilson early-stop estimates over.
+    offset by ``shard_index * SHARD_SEED_STRIDE``, so the fleet samples
+    ``shard_count`` disjoint deterministic seed ranges of the same
+    campaign — the shape the fabric's *global* Wilson early-stop
+    estimates over.
     """
     if not 0 <= shard_index < shard_count:
         raise InjectionError(
             f"shard_index must be in [0, {shard_count}), got {shard_index}")
     params = dict(unit.params)
-    params["seed"] = params.get("seed", 0) + shard_index * stride
+    params["seed"] = params.get("seed", 0) + shard_index * SHARD_SEED_STRIDE
     return WorkUnit(unit_id=shard_unit_id(unit.unit_id, shard_index),
                     kind=unit.kind, params=params, context=unit.context)
 
@@ -1066,8 +1064,8 @@ def _failure(exc: BaseException) -> Dict[str, Any]:
 
     :class:`~repro.errors.ReproError` failures additionally carry their
     full typed record (code, severity, recoverable, context), so the
-    engine-side bundle capture and quarantine dead-letters keep the
-    structured diagnosis, not just the formatted message.
+    journaled failure log keeps the structured diagnosis, not just the
+    formatted message.
     """
     failure: Dict[str, Any] = {
         "message": f"{type(exc).__name__}: {exc}",
@@ -1259,9 +1257,9 @@ class CampaignEngine:
                      state: JournalState) -> UnitReport:
         """Rebuild a finished unit's report from its journal records.
 
-        Quarantined units replay with their dead-letter record's
-        captured failures, so resumed campaigns still report the
-        tracebacks that condemned them.
+        Failed units replay with the failure log their terminal record
+        journaled, so resumed campaigns still report the typed errors
+        and tracebacks that ended them.
         """
         done = state.finished[unit.unit_id]
         summary = done.get("summary", {})
@@ -1348,8 +1346,6 @@ class CampaignEngine:
                               payload.get("payload"))
                 if payload.get("payload") is not None:
                     payloads.append(payload["payload"])
-                    self._capture_certificate(unit, batch,
-                                              payload["payload"])
                 batches_done += 1
                 continue
             # every attempt of this batch failed
@@ -1377,147 +1373,9 @@ class CampaignEngine:
             journal.unit_quarantined(unit.unit_id, report.summary(),
                                      failure_log)
         else:
-            journal.unit_done(unit.unit_id, status, report.summary())
-        if report.failed and status != "paused":
-            out_dir = self.config.bundle_dir
-            point = f"engine.{status}"
-            if status == "quarantined" and self.supervisor is not None \
-                    and self.supervisor.config.bundle_dir is not None:
-                out_dir = self.supervisor.config.bundle_dir
-                point = "supervisor.quarantine"
-            self._capture_failure_bundle(unit, batch, status, failure_log,
-                                         state, out_dir, point)
+            journal.unit_done(unit.unit_id, status, report.summary(),
+                              failure_log)
         return report
-
-    def _capture_certificate(self, unit: WorkUnit, batch: BatchSpec,
-                             payload: Any) -> None:
-        """Export a repro bundle for a FAILED certificate (best-effort).
-
-        A violated guarantee never crashes the batch — the certificate
-        rides along as an ordinary payload — so the capture hook watches
-        completed certify batches rather than the failure path.
-        """
-        if self.config.bundle_dir is None or unit.kind != "certify":
-            return
-        if not isinstance(payload, dict) or payload.get("passed", True):
-            return
-        try:
-            from repro.bundle import capture_bundle, certificate_outcome
-            from repro.errors import ClaimViolation
-            outcome = certificate_outcome(payload)
-            error = ClaimViolation(outcome["message"],
-                                   context=outcome["context"])
-            trial: Dict[str, Any] = {
-                "kind": "certify",
-                "scheme": unit.params.get("scheme"),
-                "mode": unit.params.get("mode", "fast"),
-                "seed": batch.seed,
-                "certificate_schema": payload.get("version"),
-            }
-            if unit.params.get("tamper") is not None:
-                trial["tamper"] = unit.params["tamper"]
-            capture_bundle(
-                error, capture_point="engine.certify",
-                out_dir=self.config.bundle_dir, trial=trial,
-                seed=batch.seed, outcome=outcome, scheme=payload)
-        except Exception:
-            pass  # a lost bundle must never take down the campaign
-
-    def _capture_failure_bundle(self, unit: WorkUnit, batch: BatchSpec,
-                                status: str,
-                                failure_log: List[Dict[str, Any]],
-                                state: JournalState,
-                                out_dir: Optional[str] = None,
-                                capture_point: Optional[str] = None,
-                                ) -> None:
-        """Export a repro bundle for a terminally failed unit.
-
-        Containment violations from gpu-recovery units (whose enriched
-        context carries the exact :class:`FaultPlan`) become replayable
-        ``ladder`` bundles with a scalar/tensor cross-check spec; every
-        other failure becomes a ``unit-batch`` bundle that re-runs the
-        recorded batch runner inline.  Best-effort: capture never raises
-        over the failure it records.
-        """
-        if out_dir is None:
-            out_dir = self.config.bundle_dir
-        if capture_point is None:
-            capture_point = f"engine.{status}"
-        if out_dir is None:
-            return
-        try:
-            from repro.bundle import capture_bundle
-            record = None
-            for entry in reversed(failure_log):
-                if isinstance(entry.get("error"), dict):
-                    record = entry["error"]
-                    break
-            if record is None:
-                # an untyped failure: no registered code to match on, so
-                # the replay compares message fingerprints alone
-                record = {"code": None,
-                          "message": failure_log[-1].get("detail", status)
-                          if failure_log else status,
-                          "severity": "degraded", "recoverable": False,
-                          "context": {}}
-            context = dict(record.get("context") or {})
-            params = unit.params
-            plan = context.get("plan")
-            fault_plan = plan if isinstance(plan, dict) else None
-            if fault_plan is not None and unit.kind == "gpu-recovery" \
-                    and isinstance(params.get("workload"), str):
-                trial = self._ladder_trial(params, context)
-                workload = {"workload": params["workload"],
-                            "scale": params.get("scale", 0.25),
-                            "build_seed": params.get("build_seed", 1)}
-            else:
-                trial = {"kind": "unit-batch", "unit_kind": unit.kind,
-                         "params": dict(params),
-                         "batch": {"index": batch.index,
-                                   "size": batch.size,
-                                   "seed": batch.seed}}
-                workload = None
-            capture_bundle(
-                record, capture_point=capture_point, out_dir=out_dir,
-                trial=trial, seed=batch.seed, fault_plan=fault_plan,
-                workload=workload,
-                journal_records=state.batches.get(unit.unit_id, []))
-        except Exception:
-            pass  # a lost bundle must never take down the campaign
-
-    @staticmethod
-    def _ladder_trial(params: Dict[str, Any],
-                      context: Dict[str, Any]) -> Dict[str, Any]:
-        """The replayable single-trial spec behind a ladder failure."""
-        overlay = {key: context[key] for key in
-                   ("seed", "batch", "trial", "plan", "workload")
-                   if key in context}
-        trial: Dict[str, Any] = {
-            "kind": "ladder",
-            "workload": params["workload"],
-            "scale": params.get("scale", 0.25),
-            "build_seed": params.get("build_seed", 1),
-            "code": params.get("code", "secded-dp"),
-            "persistent": params.get("persistent", False),
-            "ladder": {
-                "max_cta_replays": params.get("max_cta_replays", 1),
-                "max_kernel_replays": params.get("max_kernel_replays", 2),
-                "max_steps": params.get("max_steps", 2_000_000),
-                "max_warp_steps": params.get("max_warp_steps"),
-            },
-            "context": overlay,
-        }
-        rebuild = {"workload": trial["workload"], "scale": trial["scale"],
-                   "build_seed": trial["build_seed"], "code": trial["code"],
-                   "max_steps": trial["ladder"]["max_steps"]}
-        if params.get("tamper") is not None:
-            trial["tamper"] = rebuild["tamper"] = params["tamper"]
-            trial["mode"] = rebuild["mode"] = params.get("mode", "swdup")
-        else:
-            trial["compile_scheme"] = rebuild["compile_scheme"] = \
-                params.get("compile_scheme", "swap-ecc")
-        trial["cross_check"] = rebuild
-        return trial
 
     def _interval_tight_enough(self, successes: int, trials: int) -> bool:
         config = self.config
@@ -1533,8 +1391,9 @@ class CampaignEngine:
                               attempt_budget: Optional[int] = None):
         """Returns ``(outcome, payload_or_detail, attempts, failures)``.
 
-        ``failures`` carries one record per failed attempt (outcome,
-        message, traceback) for quarantine dead-letter journaling.
+        ``failures`` carries one record per failed attempt (batch index
+        and seed, outcome, message, traceback) for the unit's terminal
+        journal record.
         ``attempt_budget`` caps total attempts below the configured
         retry allowance — the supervisor passes the distance to its
         quarantine threshold so the streak lands exactly on it.
@@ -1551,8 +1410,8 @@ class CampaignEngine:
             if outcome in ("ok", "paused"):
                 return outcome, payload, attempts, failures
             failure = {
-                "batch": batch.index, "attempt": attempts,
-                "outcome": outcome,
+                "batch": batch.index, "seed": batch.seed,
+                "attempt": attempts, "outcome": outcome,
                 "detail": _failure_detail(payload),
                 "traceback": _failure_traceback(payload)}
             if isinstance(payload, dict) and \

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import FabricConfigError, FabricError
-from repro.inject.engine import (EngineConfig, WilsonEstimate, WorkUnit,
+from repro.inject.engine import (_BATCH_SEED_STRIDE, SHARD_SEED_STRIDE,
+                                 EngineConfig, WilsonEstimate, WorkUnit,
                                  shard_work_unit)
 from repro.inject.merge import MergedCampaign
 from repro.inject.supervisor import DRAIN_SIGNALS
@@ -106,10 +107,6 @@ class FabricConfig:
     engine: Optional[EngineConfig] = None
     #: hook SIGTERM/SIGINT on the coordinator into a fleet-wide drain
     install_signal_handlers: bool = True
-    #: directory terminal fabric failures (lost leases with stealing
-    #: off, poison shards, merge conflicts) are exported to as
-    #: :mod:`repro.bundle` repro bundles (None = no capture)
-    bundle_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.shards < 1:
@@ -148,6 +145,16 @@ class FabricConfig:
             raise FabricConfigError(
                 f"global_ci_half_width must be positive (or None), got "
                 f"{self.global_ci_half_width}")
+        if self.z <= 0:
+            raise FabricConfigError(f"z must be positive, got {self.z}")
+        max_batches = self.shard_engine_config().max_batches
+        if self.mode == "replicate" and \
+                max_batches * _BATCH_SEED_STRIDE > SHARD_SEED_STRIDE:
+            raise FabricConfigError(
+                f"replicate mode allows at most "
+                f"{SHARD_SEED_STRIDE // _BATCH_SEED_STRIDE} batches per "
+                f"unit, got max_batches={max_batches}: more would reuse "
+                f"the next shard's batch seeds")
 
     def shard_engine_config(self) -> EngineConfig:
         """The per-shard engine config (global estimator governs stops)."""

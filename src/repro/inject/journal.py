@@ -309,10 +309,14 @@ class Journal:
             record["payload"] = payload
         self.append(record)
 
-    def unit_done(self, unit_id: str, status: str,
-                  summary: Dict[str, Any]) -> None:
-        self.append({"type": "unit_done", "unit": unit_id, "status": status,
-                     "summary": summary})
+    def unit_done(self, unit_id: str, status: str, summary: Dict[str, Any],
+                  failures: Optional[List[Dict[str, Any]]] = None) -> None:
+        """Record a finished unit with its failed attempts, if any."""
+        record = {"type": "unit_done", "unit": unit_id, "status": status,
+                  "summary": summary}
+        if failures:
+            record["failures"] = failures
+        self.append(record)
 
     def unit_quarantined(self, unit_id: str, summary: Dict[str, Any],
                          failures: List[Dict[str, Any]]) -> None:

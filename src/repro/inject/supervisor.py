@@ -147,10 +147,6 @@ class SupervisorConfig:
     #: hook SIGTERM/SIGINT while the supervisor is active (skipped
     #: automatically off the main thread, where CPython forbids it)
     install_signal_handlers: bool = True
-    #: directory quarantine dead-letters are exported to as
-    #: :mod:`repro.bundle` repro bundles (None = no capture; takes
-    #: precedence over the engine's own ``bundle_dir`` for quarantines)
-    bundle_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.quarantine_after is not None and self.quarantine_after < 1:

@@ -90,6 +90,10 @@ class TestWilsonInterval:
     def test_bad_counts_rejected(self):
         with pytest.raises(InjectionError):
             wilson_interval(3, 2)
+        # a non-positive z inverts or collapses the interval
+        for z in (0.0, -1.96):
+            with pytest.raises(InjectionError, match="z must be"):
+                wilson_interval(3, 10, z)
 
     def test_zero_trials_estimate_fields(self):
         # A crashed-before-data unit yields the uninformative estimate,
@@ -146,7 +150,8 @@ class TestEngineConfigValidation:
         for overrides in ({"batch_size": 0}, {"max_batches": 0},
                           {"max_retries": -1}, {"ci_half_width": 0.0},
                           {"ci_half_width": -0.1}, {"timeout_s": 0.0},
-                          {"isolation": "thread"}, {"backoff_max_s": 0.0}):
+                          {"isolation": "thread"}, {"backoff_max_s": 0.0},
+                          {"backoff_s": -1.0}, {"z": 0.0}, {"z": -1.96}):
             with pytest.raises(InjectionError):
                 EngineConfig(**overrides)
 
@@ -304,12 +309,15 @@ class TestJournalResume:
         journal = str(tmp_path / "journal.jsonl")
         units = [WorkUnit("ok", "tally", {}), WorkUnit("bad", "raise", {})]
         engine = CampaignEngine(quick_config(max_retries=0))
-        engine.run(units, journal)
+        first = engine.run(units, journal).units["bad"]
         report = engine.run(units, journal)
         assert report.units["bad"].resumed
         assert report.units["bad"].status == "crashed"
         assert report.units["bad"].counts["crash"] == 1
         assert report.completed == ["ok"]
+        # the failure log rides in unit_done and survives the resume
+        assert report.units["bad"].failures == first.failures
+        assert "worker exploded" in first.failures[-1]["detail"]
 
     def test_torn_final_line_tolerated(self, tmp_path):
         journal = str(tmp_path / "journal.jsonl")
@@ -530,6 +538,35 @@ class TestGpuRecoveryUnits:
 
     def test_empty_counts_give_zero_coverage(self):
         assert set(recovery_coverage({}).values()) == {0.0}
+
+    def test_containment_violation_reruns_from_its_journal(self, tmp_path):
+        """A late-checked SW-Dup pass leaks a detected error to memory:
+        the auditor's violation crashes the unit, and the journal alone
+        reruns the failed batch to the same typed error."""
+        from repro.errors import ContainmentViolation
+        from repro.inject.engine import unit_runner
+        from repro.inject.journal import JournalState
+
+        journal = str(tmp_path / "journal.jsonl")
+        unit = WorkUnit("ladder-cv", "gpu-recovery", {
+            "workload": "snap", "scale": 0.1, "build_seed": 3,
+            "tamper": {"pass": "swdup-late-check"}, "mode": "swdup"})
+        config = EngineConfig(batch_size=4, max_batches=6, max_retries=0)
+        report = CampaignEngine(config).run([unit], journal)
+        assert report.units["ladder-cv"].status == "crashed"
+
+        state = JournalState.load(journal)
+        error = state.finished["ladder-cv"]["failures"][-1]["error"]
+        assert error["code"] == "gpu.containment_violation"
+        context = error["context"]
+        assert {"seed", "batch", "trial", "plan"} <= set(context)
+        started = state.started["ladder-cv"]
+        batch = BatchSpec(context["batch"], state.config["batch_size"],
+                          context["seed"])
+        with pytest.raises(ContainmentViolation) as info:
+            unit_runner(started["kind"])(started["params"], None, batch)
+        assert info.value.code == error["code"]
+        assert info.value.context == context
 
 
 class TestJournalFsyncPlumbing:

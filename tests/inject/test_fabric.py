@@ -124,6 +124,26 @@ class TestFabricBasics:
             FabricConfig(mode="scatter")
         with pytest.raises(FabricError, match="global_ci_half_width"):
             FabricConfig(global_ci_half_width=-0.1)
+        for z in (0.0, -1.96):
+            with pytest.raises(FabricConfigError, match="z must be"):
+                FabricConfig(z=z)
+
+    def test_replicate_mode_caps_batches_at_the_seed_stride(self):
+        # shard k's seed base sits SHARD_SEED_STRIDE above shard k-1's,
+        # room for 4096 batch seeds; a 4097th would be shard k's first
+        from repro.inject.engine import (WorkUnit, _batch_seed,
+                                         shard_work_unit)
+        unit = WorkUnit("u0", "toy", {"seed": 3})
+        base = [shard_work_unit(unit, index, 2).params for index in (0, 1)]
+        fits = EngineConfig(max_batches=4096, ci_half_width=None)
+        FabricConfig(shards=2, mode="replicate", engine=fits)
+        first, second = ({_batch_seed(params, index) for index in
+                          range(fits.max_batches)} for params in base)
+        assert not first & second
+        over = EngineConfig(max_batches=4097, ci_half_width=None)
+        with pytest.raises(FabricConfigError, match="replicate mode"):
+            FabricConfig(shards=2, mode="replicate", engine=over)
+        FabricConfig(shards=2, mode="partition", engine=over)
 
     def test_config_errors_are_typed_and_non_transient(self):
         # misconfiguration is its own error class — callers can tell a

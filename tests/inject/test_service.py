@@ -224,13 +224,12 @@ class TestProtocolIdempotence:
             result["report"].estimate.trials
 
     def test_grant_ships_the_whole_engine_config(self, tmp_path):
-        # the journaled to_dict() leaves out fsync, salvage and
-        # bundle_dir on purpose; a grant must carry them all the same
+        # the journaled to_dict() leaves out fsync and salvage on
+        # purpose; a grant must carry them all the same
         import dataclasses
         config = toy_config(shards=1)
         config.engine = dataclasses.replace(
-            config.engine, journal_fsync=True, salvage=True,
-            bundle_dir=str(tmp_path / "bundles"))
+            config.engine, journal_fsync=True, salvage=True)
         transport = InProcessTransport()
         service = CoordinatorService(str(tmp_path / "fab"), config=config,
                                      listener=transport)
