@@ -23,13 +23,13 @@ the first bad line.
 
 ``--shards N`` runs the campaign on the distributed fabric instead of a
 single engine: the units are split across ``N`` leased shards under
-``<journal>.fabric``, one coordinator forks a holder process per shard,
+``<journal>.fabric``, one coordinator forks a holder process per lease,
 and each shard runs its own supervised engine and tamper-evident
-journal.  A dead holder is replaced, and a shard whose holder stops
-heartbeating for ``--lease-ttl`` seconds has its lease re-granted under
-a new fencing token (work stealing; disable with ``--steal no``).  A
-killed coordinator resumes from its own journal, and the per-shard
-journals merge deterministically into ``merged_report.json``.
+journal.  When a holder dies, its shard is re-granted to a fresh holder
+under a new fencing token as soon as it exits (work stealing; disable
+with ``--steal no``).  A killed coordinator resumes from its own
+journal, and the per-shard journals merge deterministically into
+``merged_report.json``.
 
 Usage::
 
@@ -37,7 +37,7 @@ Usage::
         [--journal PATH] [--ci HALF_WIDTH] [--batch N] [--timeout S]
         [--max-rss MB] [--max-cpu S] [--heartbeat S] [--quarantine K]
         [--salvage] [--no-supervisor]
-        [--shards N] [--lease-ttl S] [--steal yes|no]
+        [--shards N] [--steal yes|no]
 
 On a shared 2-vCPU VM the defaults (600 samples, 200 sites) finish in
 about 3 s (21 s with the earlier fan-out-cone re-sweep), and EXPERIMENTS.md's
@@ -93,15 +93,11 @@ def parse_args():
     parser.add_argument("--shards", type=int, default=None, metavar="N",
                         help="run on the distributed fabric: split the "
                              "units across N leased shards, one forked "
-                             "holder each (requires --journal for the "
-                             "fabric dir)")
-    parser.add_argument("--lease-ttl", type=float, default=30.0,
-                        metavar="S",
-                        help="expire a shard lease whose heartbeat stalls "
-                             "this long and re-grant it (default 30)")
+                             "holder per lease (requires --journal for "
+                             "the fabric dir)")
     parser.add_argument("--steal", choices=("yes", "no"), default="yes",
-                        help="re-grant expired/dead leases to fresh "
-                             "holders (default yes); 'no' fails the "
+                        help="re-grant the shard of a dead holder to a "
+                             "fresh holder (default yes); 'no' fails the "
                              "fabric on the first lost lease")
     return parser.parse_args()
 
@@ -149,8 +145,7 @@ def main():
         sample_count=args.samples, site_count=sites,
         journal_path=args.journal, engine_config=engine_config,
         supervisor=supervisor, salvage=args.salvage,
-        shards=args.shards, lease_ttl_s=args.lease_ttl,
-        steal=args.steal == "yes")
+        shards=args.shards, steal=args.steal == "yes")
 
     print("\nFigure 10 — unmasked error severity per unit")
     print(render_figure10(study))

@@ -16,7 +16,7 @@ Test-only: nothing here is registered in the certification registry.
 from __future__ import annotations
 
 from repro.ecc.hsiao import HsiaoSecDed
-from repro.ecc.linear import LinearCode, odd_weight_columns
+from repro.ecc.linear import odd_weight_columns
 from repro.ecc.swap import SecDedDpSwap
 from repro.errors import CertificationError
 

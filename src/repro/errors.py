@@ -4,7 +4,7 @@ Every exception carries a *stable, dot-namespaced diagnostic code* (the
 ``code`` class attribute — ``inject.lease_expired``,
 ``journal.merge_conflict``, ...) plus a *severity class* and a
 *recoverability flag*, so campaign journals, merged reports and
-service-layer clients can match on failures without parsing messages.
+diagnostics tooling can match on failures without parsing messages.
 Codes are registered at class-definition time through
 :meth:`ReproError.__init_subclass__`, which enforces the contract:
 
@@ -344,28 +344,13 @@ class CertificationError(ReproError):
     """The guarantee certifier was misconfigured or could not run.
 
     Distinct from a *violated claim* — a violation is a legitimate
-    certifier verdict recorded in the certificate artifact (typed as
-    :class:`ClaimViolation`), while this exception means the
-    certification request itself was malformed (unknown scheme, empty
-    strike space, unwritable artifact path).
+    certifier verdict recorded in the certificate artifact, while this
+    exception means the certification request itself was malformed
+    (unknown scheme, empty strike space, unwritable artifact path).
     """
 
     code = "certify.misconfigured"
     severity = "config"
-    recoverable = False
-
-
-class ClaimViolation(ReproError):
-    """A certified guarantee claim was violated by a counterexample.
-
-    The typed form of a FAILED certificate: the certifier found a
-    concrete strike the scheme's claim says cannot exist.  ``fatal``
-    because a violated claim means the scheme's guarantee surface is
-    unsound — every campaign result relying on it is suspect.
-    """
-
-    code = "certify.claim_violated"
-    severity = "fatal"
     recoverable = False
 
 
@@ -444,13 +429,13 @@ class FabricError(InjectionError):
 
 
 class LeaseExpired(FabricError):
-    """A shard lease's TTL lapsed (or its holder died) before completion.
+    """A shard lease ended (its holder exited or drained) before completion.
 
-    Raised when a renewal or completion arrives for a lease the
-    coordinator already expired — the holder is a zombie whose work will
-    be (or already was) re-leased to a new holder under a higher fencing
-    token.  Its journal remains on disk and merges idempotently, so the
-    expiry can never lose or double-count trials.
+    Raised when a completion arrives for a lease the coordinator already
+    expired — its work will be (or already was) re-leased to a new
+    holder under a higher fencing token.  The old holder's journal
+    remains on disk and merges idempotently, so the expiry can never
+    lose or double-count trials.
     """
 
     code = "inject.lease_expired"
@@ -462,11 +447,11 @@ class StaleFencingToken(FabricError):
     """A lease operation carried a superseded fencing token.
 
     The fencing rule: every grant of a shard increments its token, and
-    renewals/completions are only honored when they carry the *current*
-    token.  A holder that was presumed dead and superseded can therefore
-    never complete over its replacement, which is what makes duplicated
-    execution harmless (the merge layer dedupes the journals; the lease
-    layer guarantees only one holder's completion is ever *accepted*).
+    completions are only honored when they carry the *current* token.
+    A superseded holder can therefore never complete over its
+    replacement, which is what makes duplicated execution harmless (the
+    merge layer dedupes the journals; the lease layer guarantees only
+    one holder's completion is ever *accepted*).
     """
 
     code = "inject.stale_fencing_token"
@@ -491,60 +476,16 @@ class MergeConflict(InjectionError):
 
 
 class FabricConfigError(FabricError):
-    """A fabric/coordinator configuration violates a timing invariant.
+    """A fabric configuration or campaign the fabric cannot run.
 
-    The typed form of fabric misconfiguration: a lease TTL that does not
-    clear the heartbeat interval by the renewal safety factor, stealing
-    enabled with a non-positive TTL (which would self-steal live
-    shards), a non-positive shard count.  ``config`` because retrying
-    without changing the configuration can never succeed — distinct
-    from :class:`FabricError`'s ``degraded`` runtime failures.
+    The typed form of fabric misconfiguration: a non-positive shard
+    count, an unknown sharding mode, more replicated batches than the
+    shard seed stride holds, a work unit that carries a context.
+    ``config`` because retrying without changing the configuration can
+    never succeed — distinct from :class:`FabricError`'s ``degraded``
+    runtime failures.
     """
 
     code = "inject.fabric_config"
     severity = "config"
     recoverable = False
-
-
-class TransportError(ReproError):
-    """A coordinator/worker transport operation failed.
-
-    The umbrella code for message-transport faults: a send against a
-    torn-down endpoint, a socket error mid-write, an attach against a
-    listener that is gone.  ``transient`` because the designed response
-    is the worker's capped-backoff reconnect loop — the lease/fencing
-    layer makes a retried attach safe.
-    """
-
-    code = "transport.failure"
-    severity = "transient"
-    recoverable = True
-
-
-class TransportClosed(TransportError):
-    """The peer closed the connection (or the transport was shut down).
-
-    Raised by ``recv`` when the stream ends and by ``send`` on a closed
-    connection.  Under chaos or a coordinator restart this is the
-    *expected* signal driving the worker's reconnect loop, so it stays
-    ``transient``/recoverable like the lease-expiry family.
-    """
-
-    code = "transport.closed"
-    severity = "transient"
-    recoverable = True
-
-
-class FrameError(TransportError):
-    """A transport frame failed its structural or CRC32 check.
-
-    A torn length prefix, a CRC mismatch, an oversized frame, or a
-    payload that is not a canonical-JSON object.  The connection that
-    produced it can no longer be trusted to be in sync and is closed;
-    recovery is a fresh connection (and fencing re-validation), hence
-    ``transient``.
-    """
-
-    code = "transport.bad_frame"
-    severity = "transient"
-    recoverable = True

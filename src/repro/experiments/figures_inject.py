@@ -47,7 +47,6 @@ def run_injection_study(sample_count: int = 1000,
                         salvage: bool = False,
                         shards: Optional[int] = None,
                         fabric_dir: Optional[str] = None,
-                        lease_ttl_s: float = 30.0,
                         steal: bool = True) -> InjectionStudy:
     """Run the six-unit campaign and fold in every Figure 11 code.
 
@@ -64,10 +63,10 @@ def run_injection_study(sample_count: int = 1000,
     by per-record CRC (and survived, with ``salvage=True``).
     ``shards=N`` runs the campaign on the distributed fabric
     (:mod:`repro.inject.fabric`): leased shards under ``fabric_dir`` run
-    by forked holders of one coordinator, heartbeat-TTL work stealing
-    (``steal``, ``lease_ttl_s``), crash-tolerant coordination, and a
-    deterministic merge of the per-shard journals; it cannot be
-    combined with ``trace``.
+    by one forked holder per lease, a dead holder's shard is re-leased
+    as soon as it exits (``steal``), the coordinator resumes from its
+    own journal, and the per-shard journals merge deterministically; it
+    cannot be combined with ``trace``.
     """
     campaigns = run_full_campaign(sample_count, site_count, seed, trace,
                                   units, journal_path=journal_path,
@@ -75,7 +74,7 @@ def run_injection_study(sample_count: int = 1000,
                                   engine_config=engine_config,
                                   supervisor=supervisor, salvage=salvage,
                                   shards=shards, fabric_dir=fabric_dir,
-                                  lease_ttl_s=lease_ttl_s, steal=steal)
+                                  steal=steal)
     schemes = figure11_schemes()
     severity = {}
     risk = {}

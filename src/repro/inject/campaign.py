@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InjectionError
@@ -83,7 +82,6 @@ def run_full_campaign(sample_count: int = 1000,
                       salvage: bool = False,
                       shards: Optional[int] = None,
                       fabric_dir: Optional[str] = None,
-                      lease_ttl_s: float = 30.0,
                       steal: bool = True,
                       fabric_config=None
                       ) -> Dict[str, CampaignResult]:
@@ -126,20 +124,19 @@ def run_full_campaign(sample_count: int = 1000,
     ``shards=N`` opts the campaign into the distributed fabric
     (:mod:`repro.inject.fabric`): the units are partitioned across ``N``
     leased shards under ``fabric_dir`` (defaults to
-    ``<journal_path>.fabric`` when a journal path is given), run by
-    forked holder processes attached to one coordinator, each shard
-    with its own supervised engine and tamper-evident journal.  Dead
-    holders are replaced and their shards re-leased under fresh fencing
-    tokens (``steal``), a crashed coordinator resumes from its own
-    journal, and the per-shard journals merge deterministically.
-    ``lease_ttl_s`` bounds how long a shard may go without a heartbeat
-    before its lease is stolen.  Pass a full
+    ``<journal_path>.fabric`` when a journal path is given).  One
+    coordinator forks a holder process per lease, each running its
+    shard under its own supervised engine and tamper-evident journal.
+    A holder that dies has its shard re-leased to a fresh holder under
+    the next fencing token as soon as it exits (``steal``), a crashed
+    coordinator resumes from its own journal, and the per-shard
+    journals merge deterministically.  Pass a full
     :class:`~repro.inject.fabric.FabricConfig` as ``fabric_config`` for
     fleet-level knobs (replicated mode, global Wilson early-stop);
     ``supervisor`` is ignored in fabric mode — every holder runs under
-    its own supervisor.  Shards ship their units to holders as
-    messages, so ``trace`` cannot be combined with ``shards``: it
-    raises :class:`~repro.errors.FabricConfigError`.
+    its own supervisor.  Shards journal and merge their units by kind
+    and params alone, so ``trace`` cannot be combined with ``shards``:
+    it raises :class:`~repro.errors.FabricConfigError`.
     """
     import dataclasses
 
@@ -170,9 +167,8 @@ def run_full_campaign(sample_count: int = 1000,
                     "journal_path to derive one from)")
             fabric_dir = f"{journal_path}.fabric"
         if fabric_config is None:
-            fabric_config = FabricConfig(
-                shards=shards, lease_ttl_s=lease_ttl_s, steal=steal,
-                engine=engine_config)
+            fabric_config = FabricConfig(shards=shards, steal=steal,
+                                         engine=engine_config)
         fabric_report = run_fabric_campaign(work, fabric_dir,
                                             fabric_config)
         merged = merged_gate_results(fabric_report.report)

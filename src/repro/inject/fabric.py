@@ -10,43 +10,68 @@ loss and coordinator restart without corrupting a single tally.
 shards (:func:`partition_units` round-robins distinct units;
 :func:`replicate_units` clones every unit per shard with disjoint seed
 ranges via :func:`~repro.inject.engine.shard_work_unit`).  A shard only
-ever runs under a *lease* (:mod:`repro.inject.lease`): a TTL renewed by
-heartbeat messages, and a fencing token.  Leases whose heartbeats stop
-advancing are expired and — with ``steal=True`` — re-granted to a fresh
-holder whose journal is rebased from every prior holder's durable
-records; a completion carrying a superseded token is rejected, so
-duplicated execution can never double-count.
+ever runs under a *lease* (:mod:`repro.inject.lease`) carrying a
+fencing token.  :class:`CampaignFabric` is the coordinator: it forks
+one holder process per grant and hands it the shard's units, its lease
+journal path and header and the engine config as fork arguments.  The
+holder runs the supervised engine and exits ``0`` when its shard
+finishes or :data:`PAUSED_EXIT` when it drains.  Any other exit expires
+the lease, and — with ``steal=True`` — the shard is re-granted to a
+fresh holder whose journal is rebased from every prior holder's durable
+records.
 
-**One coordinator, two deployments.**  Leases, the coordinator journal,
-the global Wilson early-stop and the deterministic merge all live in
-:class:`~repro.inject.coordinator.CoordinatorService`.  Holders are
-:class:`~repro.inject.worker.ShardWorker` processes speaking its frame
-protocol.  :class:`CampaignFabric` is the local deployment: the service
-plus one forked holder per planned shard, each on a
-``socket.socketpair()``.  ``examples/fabric_service.py`` is the socket
-deployment, with holders attaching from anywhere.  Both write the same
-``fabric_dir`` and the same ``merged_report.json`` bytes, and either
-can resume the other's directory.
+**Drains and orphans.**  Each holder gets one control pipe, and only the
+coordinator keeps its write end.  A drain writes its reason and closes
+the pipe; a coordinator that dies closes it by dying.  Either way the
+holder's watcher thread reads end-of-file and drains the engine at its
+next safe point, exactly as a supervised SIGTERM would.
+
+**The journals are the only record of progress.**  Holders and the
+coordinator share one host, so the coordinator tails every lease
+journal itself (:class:`~repro.inject.journal.JournalCursor`) into the
+global Wilson estimator, deduped by ``(unit, batch index)``.  Divergent
+batch counts surface where every holder's journal meets: the merge
+raises :class:`~repro.errors.MergeConflict`, and rerunning
+:func:`~repro.inject.merge.merge_fabric_dir` on the fabric dir raises it
+again.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import selectors
 import signal as _signal
+import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FabricConfigError, FabricError
 from repro.inject.engine import (_BATCH_SEED_STRIDE, SHARD_SEED_STRIDE,
-                                 EngineConfig, WilsonEstimate, WorkUnit,
-                                 shard_work_unit)
-from repro.inject.merge import MergedCampaign
-from repro.inject.supervisor import DRAIN_SIGNALS
+                                 CampaignEngine, EngineConfig,
+                                 WilsonEstimate, WorkUnit, shard_work_unit,
+                                 wilson_interval)
+from repro.inject.journal import Journal, JournalCursor, _scan_journal
+from repro.inject.lease import LeaseTable, rebase_journal
+from repro.inject.merge import (MergedCampaign, fabric_journal_paths,
+                                merge_shard_journals, write_merged_report)
+from repro.inject.supervisor import DRAIN_SIGNALS, CampaignSupervisor
 
-#: a lease TTL must clear the heartbeat interval by at least this factor
-#: so a single delayed/dropped beat (scheduler hiccup, chaos transport)
-#: cannot expire a healthy holder
-LEASE_TTL_SAFETY_FACTOR = 4.0
+#: a holder's exit code when a drain paused its shard (0: it finished;
+#: anything else expires its lease)
+PAUSED_EXIT = 75
+
+#: how long the coordinator waits for a holder to exit before it tails
+#: the lease journals and looks for a drain request again
+POLL_INTERVAL_S = 0.05
+
+#: expiry reasons that are *not* steals: re-granting after these is
+#: plain resume and stays legal even with steal=False
+_BENIGN_EXPIRY = ("coordinator restart", "paused", "drained (paused)")
+
+#: coordinator-journal records that replay into the lease table
+_LEASE_RECORDS = ("lease_granted", "lease_expired", "lease_paused",
+                  "lease_completed")
 
 
 def partition_units(units: Sequence[WorkUnit],
@@ -84,14 +109,8 @@ class FabricConfig:
     #: units, "replicate" clones every unit per shard with disjoint
     #: deterministic seed ranges
     mode: str = "partition"
-    #: lease TTL: a shard whose heartbeat stalls this long is expired
-    lease_ttl_s: float = 30.0
-    #: how often each holder sends its lease a heartbeat message
-    heartbeat_interval_s: float = 0.25
-    #: coordinator poll cadence (holders, messages, TTLs, cursors)
-    poll_interval_s: float = 0.05
-    #: re-grant expired/dead leases to fresh holders (work stealing);
-    #: with False a lost lease fails the whole fabric instead
+    #: re-grant the shard of a holder that died to a fresh holder (work
+    #: stealing); with False a lost lease fails the whole fabric instead
     steal: bool = True
     #: give up on a shard after this many lease grants (poison shards)
     max_lease_attempts: int = 5
@@ -105,8 +124,6 @@ class FabricConfig:
     #: per-shard engine configuration; None = engine defaults with
     #: per-unit early stopping disabled (the global estimator governs)
     engine: Optional[EngineConfig] = None
-    #: hook SIGTERM/SIGINT on the coordinator into a fleet-wide drain
-    install_signal_handlers: bool = True
 
     def __post_init__(self):
         if self.shards < 1:
@@ -116,26 +133,6 @@ class FabricConfig:
             raise FabricConfigError(
                 f"mode must be 'partition' or 'replicate', got "
                 f"{self.mode!r}")
-        if self.lease_ttl_s <= 0:
-            # With steal=True a non-positive TTL would expire (and
-            # self-steal) every live shard on the first poll; refuse the
-            # configuration outright rather than thrash leases.
-            raise FabricConfigError(
-                f"lease_ttl_s must be positive, got {self.lease_ttl_s}"
-                + (" (stealing with a non-positive TTL would self-steal "
-                   "live shards)" if self.steal else ""))
-        if self.heartbeat_interval_s <= 0:
-            raise FabricConfigError(
-                f"heartbeat_interval_s must be positive, got "
-                f"{self.heartbeat_interval_s}")
-        if self.lease_ttl_s < \
-                LEASE_TTL_SAFETY_FACTOR * self.heartbeat_interval_s:
-            raise FabricConfigError(
-                f"lease_ttl_s ({self.lease_ttl_s}) must be at least "
-                f"{LEASE_TTL_SAFETY_FACTOR:g}x heartbeat_interval_s "
-                f"({self.heartbeat_interval_s}): a TTL that a single "
-                f"missed beat can lapse turns every scheduler hiccup "
-                f"into a lease steal")
         if self.max_lease_attempts < 1:
             raise FabricConfigError(
                 f"max_lease_attempts must be >= 1, got "
@@ -212,7 +209,7 @@ def build_plan(units: Sequence[WorkUnit],
     """Deterministically map a campaign onto named shards.
 
     The same units always get the same shard ids, which is what makes
-    merged reports byte-identical across runs and deployments.
+    merged reports byte-identical across runs.
     """
     ids = [unit.unit_id for unit in units]
     if len(set(ids)) != len(ids):
@@ -227,14 +224,83 @@ def build_plan(units: Sequence[WorkUnit],
     return plan
 
 
-class CampaignFabric:
-    """The local deployment: one coordinator plus forked shard holders.
+class _GlobalEstimator:
+    """Online fleet-wide Wilson estimator fed by journal cursors."""
 
-    A :class:`~repro.inject.coordinator.CoordinatorService` whose
-    listener (:class:`~repro.inject.worker.LocalHolders`) forks one
-    :class:`~repro.inject.worker.ShardWorker` holder per planned shard
-    and re-forks any holder that dies.  All durable state lives under
-    ``fabric_dir``:
+    def __init__(self, half_width: Optional[float], min_trials: int,
+                 z: float):
+        self.half_width = half_width
+        self.min_trials = min_trials
+        self.z = z
+        self.trials = 0
+        self.successes = 0
+        self._seen: Set[tuple] = set()
+
+    def absorb(self, record: Dict[str, Any]) -> None:
+        """Tick on one journal record (batches only; idempotent)."""
+        if record.get("type") != "batch":
+            return
+        key = (record.get("unit"), record.get("index"))
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        self.trials += record.get("trials", 0)
+        self.successes += record.get("successes", 0)
+
+    @property
+    def estimate(self) -> WilsonEstimate:
+        return wilson_interval(self.successes, self.trials, self.z)
+
+    @property
+    def tight(self) -> bool:
+        if self.half_width is None or self.trials < self.min_trials:
+            return False
+        return self.estimate.half_width <= self.half_width
+
+
+def _watch_control(control: int, supervisor: CampaignSupervisor) -> None:
+    """Drain the holder's engine once the coordinator closes its pipe."""
+    chunks = []
+    while True:
+        chunk = os.read(control, 4096)
+        if not chunk:
+            break
+        chunks.append(chunk)
+    reason = b"".join(chunks).decode("utf-8", "replace")
+    supervisor.request_drain(reason or "coordinator exited")
+
+
+def _holder_main(holder: str, shard: str, token: int,
+                 units: List[WorkUnit], journal_path: str,
+                 header: Dict[str, Any], engine_config: EngineConfig,
+                 control: int, write_ends: List[int]) -> None:
+    """Forked holder: run one leased shard under the supervised engine."""
+    for end in write_ends:
+        # a coordinator write end left open here would hide a dead
+        # coordinator's EOF from this holder and from its siblings
+        os.close(end)
+    supervisor = CampaignSupervisor()
+    with supervisor:
+        # which process ran this lease (ignored by replay, rebase, and
+        # merge — the record is not in their vocabulary)
+        journal = Journal(journal_path, header=header)
+        journal.append({"type": "worker_attached", "worker": holder,
+                        "shard": shard, "token": token,
+                        "pid": os.getpid()})
+        journal.close()
+        threading.Thread(target=_watch_control,
+                         args=(control, supervisor),
+                         name=f"{holder}-control", daemon=True).start()
+        engine = CampaignEngine(engine_config, supervisor=supervisor)
+        report = engine.run(units, journal_path, journal_header=header)
+    if report.paused:
+        raise SystemExit(PAUSED_EXIT)
+
+
+class CampaignFabric:
+    """The coordinator: one forked holder process per lease grant.
+
+    All durable state lives under ``fabric_dir``:
 
     * ``coordinator.jsonl`` — the coordinator's own CRC+rix journal
       (shard plan, every lease transition, the global stop, the final
@@ -251,43 +317,313 @@ class CampaignFabric:
 
     def __init__(self, units: Sequence[WorkUnit], fabric_dir: str,
                  config: Optional[FabricConfig] = None):
-        # coordinator and worker build on this module's vocabulary
-        from repro.inject.coordinator import CoordinatorService
-        from repro.inject.worker import LocalHolders
-
         self.config = config if config is not None else FabricConfig()
         self.fabric_dir = fabric_dir
-        self.service = CoordinatorService(fabric_dir, self.config)
-        self.service.submit(units)
-        self.service.listener = LocalHolders(len(self.service.plan))
-        #: holder id -> forked holder process
-        self.processes: Dict[str, Any] = self.service.listener.processes
+        for unit in units:
+            if unit.context is not None:
+                raise FabricConfigError(
+                    f"work unit {unit.unit_id!r} carries a context; "
+                    f"sharded campaigns plan, journal and merge units by "
+                    f"kind and params alone, so units must be "
+                    f"context-free (context=None)")
+        self.plan: Dict[str, List[WorkUnit]] = build_plan(units,
+                                                          self.config)
+        self.table = LeaseTable()
+        #: holder id -> forked holder process, until it is reaped
+        self.processes: Dict[str, Any] = {}
+        #: holder id -> the (shard, token) of the lease it holds
+        self._holds: Dict[str, Tuple[str, int]] = {}
+        #: holder id -> write end of its control pipe, until drained
+        self._control: Dict[str, int] = {}
+        self._forked = 0
+        self._cursors: Dict[str, JournalCursor] = {}
+        self._paused_shards: Set[str] = set()
+        self._estimator = _GlobalEstimator(
+            self.config.global_ci_half_width,
+            self.config.global_min_trials, self.config.z)
+        self._stopped_globally = False
+        self._drain_reason = ""
+        self._drain_requested: Optional[str] = None
+        self._journal: Optional[Journal] = None
 
     def request_drain(self, reason: str = "drain requested") -> None:
         """Drain the fleet: every holder pauses at its next safe point."""
-        self.service.request_drain(reason)
+        if self._drain_requested is None:
+            self._drain_requested = reason
 
     def _handle_signal(self, signum, frame) -> None:
         self.request_drain(f"signal {_signal.Signals(signum).name}")
 
     def run(self) -> FabricReport:
-        """Serve every shard to completion (or drain), then merge."""
+        """Run every shard to completion (or drain), then merge."""
+        os.makedirs(self.fabric_dir, exist_ok=True)
+        self._journal = Journal(self._path(COORDINATOR_JOURNAL),
+                                salvage=True,
+                                header={"role": "fabric-coordinator"})
         previous: Dict[int, Any] = {}
-        if self.config.install_signal_handlers:
-            try:
+        try:
+            # Off the main thread CPython forbids signal(); callers can
+            # still request_drain() programmatically.
+            if threading.current_thread() is threading.main_thread():
                 for signum in DRAIN_SIGNALS:
                     previous[signum] = _signal.signal(
                         signum, self._handle_signal)
-            except ValueError:
-                # Off the main thread CPython forbids signal(); callers
-                # can still request_drain() programmatically.
-                pass
-        try:
-            return self.service.serve()
+            self._replay()
+            for path in fabric_journal_paths(self.fabric_dir):
+                self._watch(path)
+            self._loop()
+            return self._merge()
         finally:
-            self.service.listener.close()
+            self._stop_holders()
+            self._journal.close()
+            self._journal = None
             for signum, handler in previous.items():
                 _signal.signal(signum, handler)
+
+    # -- paths / helpers ---------------------------------------------------
+
+    def _path(self, name: str) -> str:
+        return os.path.join(self.fabric_dir, name)
+
+    def _watch(self, journal_path: str) -> None:
+        if journal_path not in self._cursors:
+            self._cursors[journal_path] = JournalCursor(journal_path)
+
+    def _open_shards(self) -> List[str]:
+        return [shard for shard in self.plan
+                if not self.table.completed(shard)
+                and shard not in self._paused_shards]
+
+    # -- replay / merge ----------------------------------------------------
+
+    def _replay(self) -> None:
+        """Rebuild lease/fencing/plan state from ``coordinator.jsonl``.
+
+        Every lease transition goes through ``table.apply_record``
+        (leases in flight come back expired, reason ``coordinator
+        restart``).  A fresh plan is journaled; a resume against a
+        changed plan is refused; a recorded global stop re-arms the
+        drain.
+        """
+        replayed: Dict[str, Dict[str, Any]] = {}
+
+        def absorb(record: Dict[str, Any]) -> None:
+            kind = record.get("type")
+            if kind in _LEASE_RECORDS:
+                self.table.apply_record(record)
+            elif kind in ("fabric_planned", "global_stop"):
+                replayed.setdefault(kind, record)
+
+        _scan_journal(self._path(COORDINATOR_JOURNAL), salvage=True,
+                      absorb=absorb)
+        current = {shard: [unit.unit_id for unit in units]
+                   for shard, units in self.plan.items()}
+        planned = replayed.get("fabric_planned")
+        if planned is None:
+            self._journal.append({"type": "fabric_planned",
+                                  "mode": self.config.mode,
+                                  "shard_count": len(self.plan),
+                                  "shards": current})
+        elif planned.get("shards") != current:
+            raise FabricError(
+                f"fabric dir {self.fabric_dir!r} was planned with shards "
+                f"{planned.get('shards')!r}, which differ from "
+                f"{current!r}; use a fresh fabric dir for a reconfigured "
+                f"campaign")
+        if "global_stop" in replayed:
+            self._stopped_globally = True
+            self._set_drain(replayed["global_stop"].get(
+                "reason", "global early-stop"))
+
+    def _merge(self) -> FabricReport:
+        """Merge every lease journal into ``merged_report.json``.
+
+        Paused-ness comes from the merge *and* the lease table (a shard
+        drained between units leaves nothing in any journal);
+        ``fabric_done`` is journaled on full completion.  A merge
+        conflict propagates; :func:`~repro.inject.merge.merge_fabric_dir`
+        over the same ``fabric_dir`` raises it again.
+        """
+        merged = merge_shard_journals(
+            fabric_journal_paths(self.fabric_dir), z=self.config.z,
+            stopped_globally=self._stopped_globally)
+        merged_path = self._path(MERGED_REPORT)
+        write_merged_report(merged, merged_path)
+        paused = merged.report.paused or any(
+            not self.table.completed(shard) for shard in self.plan)
+        if not paused:
+            self._journal.append({
+                "type": "fabric_done",
+                "stopped_globally": self._stopped_globally,
+                "merged": MERGED_REPORT})
+        status = {}
+        for shard in self.plan:
+            lease = self.table.current(shard)
+            if self.table.completed(shard):
+                status[shard] = "completed"
+            elif shard in self._paused_shards or paused:
+                status[shard] = "paused"
+            else:
+                status[shard] = lease.state if lease else "pending"
+        return FabricReport(
+            merged=merged, fabric_dir=self.fabric_dir,
+            merged_report_path=merged_path, shard_status=status,
+            stopped_globally=self._stopped_globally, paused=paused,
+            estimate=merged.estimate)
+
+    # -- the coordinator loop ----------------------------------------------
+
+    def _loop(self) -> None:
+        while True:
+            if self._drain_requested is not None:
+                self._set_drain(self._drain_requested)
+            open_shards = self._open_shards()
+            if not open_shards:
+                return
+            if self._drain_reason:
+                if not self.processes:
+                    return
+            else:
+                for shard in open_shards:
+                    lease = self.table.current(shard)
+                    if lease is None or not lease.active:
+                        self._grant(shard)
+            self._await_exits()
+            self._reap()
+            self._tick_estimator()
+
+    def _grant(self, shard: str) -> None:
+        """Lease ``shard`` under its next token and fork its holder.
+
+        The grant is journaled before the lease journal is rebased and
+        before the holder forks, so a coordinator that dies in between
+        replays it as a lease to expire.
+        """
+        previous = self.table.current(shard)
+        if previous is not None:
+            if not self.config.steal and \
+                    previous.reason not in _BENIGN_EXPIRY:
+                raise FabricError(
+                    f"shard {shard!r} lost lease token {previous.token} "
+                    f"({previous.reason or 'expired'}) and work stealing "
+                    f"is disabled (steal=False)",
+                    context={"shard": shard, "token": previous.token})
+            if self.table.token(shard) >= self.config.max_lease_attempts:
+                raise FabricError(
+                    f"shard {shard!r} exhausted its "
+                    f"{self.config.max_lease_attempts} lease attempts; "
+                    f"poison shard — inspect its lease journals under "
+                    f"{self.fabric_dir!r}",
+                    context={"shard": shard,
+                             "token": self.table.token(shard)})
+        token = self.table.grant(shard).token
+        holder = f"holder-{self._forked:03d}"
+        self._forked += 1
+        journal_path = lease_journal_path(self.fabric_dir, shard, token)
+        header = lease_header(shard, token, len(self.plan))
+        self._journal.append({
+            "type": "lease_granted", "shard": shard, "token": token,
+            "journal": os.path.basename(journal_path), "worker": holder})
+        rebase_journal([lease_journal_path(self.fabric_dir, shard, prior)
+                        for prior in range(1, token)],
+                       journal_path, header=header)
+        self._watch(journal_path)
+        control, write_end = os.pipe()
+        self._control[holder] = write_end
+        process = multiprocessing.get_context("fork").Process(
+            target=_holder_main, name=holder,
+            args=(holder, shard, token, self.plan[shard], journal_path,
+                  header, self.config.shard_engine_config(), control,
+                  list(self._control.values())))
+        try:
+            process.start()
+        finally:
+            os.close(control)
+        self.processes[holder] = process
+        self._holds[holder] = (shard, token)
+
+    def _await_exits(self) -> None:
+        """Sleep until a holder exits or :data:`POLL_INTERVAL_S` passes."""
+        with selectors.DefaultSelector() as selector:
+            for process in self.processes.values():
+                selector.register(process.sentinel, selectors.EVENT_READ)
+            selector.select(POLL_INTERVAL_S)
+
+    def _reap(self) -> None:
+        """Turn every holder exit into the end of its lease."""
+        for holder, process in list(self.processes.items()):
+            exitcode = process.exitcode
+            if exitcode is None:
+                continue
+            process.join()
+            del self.processes[holder]
+            control = self._control.pop(holder, None)
+            if control is not None:
+                os.close(control)
+            shard, token = self._holds.pop(holder)
+            if exitcode == 0 or (exitcode == PAUSED_EXIT
+                                 and self._stopped_globally):
+                # a shard the global early-stop drained is done
+                self.table.complete(shard, token)
+                self._journal.append({
+                    "type": "lease_completed", "shard": shard,
+                    "token": token, "paused": exitcode != 0})
+            elif exitcode == PAUSED_EXIT:
+                # an interruption: release the lease so a resume
+                # re-grants it
+                self.table.expire(shard, "drained (paused)")
+                self._journal.append({"type": "lease_paused",
+                                      "shard": shard, "token": token})
+                self._paused_shards.add(shard)
+            else:
+                reason = f"holder {holder} exited with code {exitcode}"
+                self.table.expire(shard, reason)
+                self._journal.append({
+                    "type": "lease_expired", "shard": shard,
+                    "token": token, "reason": reason})
+
+    def _stop_holders(self) -> None:
+        """Kill and reap the holders an error left running."""
+        for control in self._control.values():
+            os.close(control)
+        self._control.clear()
+        for process in self.processes.values():
+            process.kill()
+        for process in self.processes.values():
+            process.join()
+        self.processes.clear()
+        self._holds.clear()
+
+    # -- global stop / drain -----------------------------------------------
+
+    def _tick_estimator(self) -> None:
+        for cursor in self._cursors.values():
+            for record in cursor.poll():
+                self._estimator.absorb(record)
+        if not self._stopped_globally and self._estimator.tight:
+            estimate = self._estimator.estimate
+            reason = (f"global early-stop: detection rate {estimate} "
+                      f"after {estimate.trials} fleet-wide trials")
+            self._stopped_globally = True
+            self._journal.append({
+                "type": "global_stop", "reason": reason,
+                "estimate": {
+                    "rate": estimate.rate, "low": estimate.low,
+                    "high": estimate.high, "trials": estimate.trials,
+                    "successes": estimate.successes}})
+            self._set_drain(reason)
+
+    def _set_drain(self, reason: str) -> None:
+        """Write the drain reason to every holder and close its pipe."""
+        if not self._drain_reason:
+            self._drain_reason = reason
+        for control in self._control.values():
+            try:
+                os.write(control, self._drain_reason.encode("utf-8"))
+            except BrokenPipeError:
+                pass  # the holder already exited; the reaper sees it
+            os.close(control)
+        self._control.clear()
 
 
 def run_fabric_campaign(units: Sequence[WorkUnit], fabric_dir: str,

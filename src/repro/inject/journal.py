@@ -68,9 +68,8 @@ def _canonical(record: Dict[str, Any]) -> str:
 def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
     """Write ``text`` to ``path`` atomically (temp + ``os.replace``).
 
-    The shared primitive behind small files that readers may open while
-    they are rewritten — certificate artifacts and the certificate
-    store's entries, ``latest`` pointers and dead-letter records: a
+    The primitive behind small files that readers may open while they
+    are rewritten — the ``CERTIFICATE_<scheme>.json`` artifacts: a
     reader sees either the previous content or the new content, never a
     torn write.  With ``fsync`` (the default) the data is flushed to
     disk before the rename, so a crash straddling the replace cannot
@@ -459,7 +458,7 @@ class JournalCursor:
     """Incremental reader over a *growing* journal file (the merge cursor).
 
     The fabric coordinator tails every lease journal into its global
-    Wilson estimator on each poll tick, and ``coordinator.jsonl`` is
+    Wilson estimator on each poll tick, and ``coordinator.jsonl`` can be
     tailed the same way to follow a job; re-reading whole multi-MB
     journals on each tick would be quadratic.  A cursor remembers its
     byte offset and running record index, and each :meth:`poll`

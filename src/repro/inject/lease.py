@@ -1,27 +1,24 @@
-"""Work-unit leases with TTLs and fencing tokens for the campaign fabric.
+"""Work-unit leases with fencing tokens for the campaign fabric.
 
 A *shard* is a fixed, deterministic slice of a campaign (a list of work
 units with a deterministic seed range).  The coordinator never hands a
-shard to a worker directly — it grants a **lease**:
+shard to a holder directly — it grants a **lease**:
 
 * every grant increments the shard's **fencing token**, a monotonic
   per-shard counter that survives coordinator restarts (it is replayed
   from the coordinator journal);
-* the lease carries a **TTL**: a holder proves liveness by sending
-  ``heartbeat`` messages with an advancing beat counter
-  (:class:`~repro.inject.worker.ShardWorker`), and a lease whose beats
-  stop advancing for longer than the TTL is *expired* and may be
-  re-granted to a new holder (work stealing);
-* renewals and completions are only honored when they carry the
-  *current* token of an *active* lease — anything else raises
+* the coordinator forks one holder process per grant, and the lease
+  ends with that holder: a clean exit completes it, a drained exit
+  pauses it, and any other exit expires it so the shard may be
+  re-granted to a fresh holder (work stealing);
+* completions are only honored when they carry the *current* token of
+  an *active* lease — anything else raises
   :class:`~repro.errors.StaleFencingToken` (superseded holder) or
-  :class:`~repro.errors.LeaseExpired` (TTL lapsed first), so a zombie
-  worker that was presumed dead can keep executing but can never get
-  its result *accepted*.  Duplicated execution is further defused at
-  the data layer: every lease attempt writes its own journal, batch
-  records are pure functions of ``(unit params, batch index)``, and the
-  merge dedupes by that key — acceptance decides *bookkeeping*, never
-  counts.
+  :class:`~repro.errors.LeaseExpired` (the lease ended first).
+  Duplicated execution is further defused at the data layer: every
+  lease attempt writes its own journal, batch records are pure
+  functions of ``(unit params, batch index)``, and the merge dedupes by
+  that key — acceptance decides *bookkeeping*, never counts.
 
 :func:`rebase_journal` is the work-stealing data path: it compacts the
 surviving records of a shard's previous lease journals into the new
@@ -32,12 +29,10 @@ holder durably completed.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import (FabricConfigError, FabricError, LeaseExpired,
-                          StaleFencingToken)
+from repro.errors import FabricError, LeaseExpired, StaleFencingToken
 from repro.inject.journal import Journal, _scan_journal
 
 #: lease lifecycle states
@@ -52,21 +47,13 @@ class Lease:
 
     shard: str
     token: int
-    ttl_s: float
     state: str = ACTIVE
-    #: monotonic timestamp of the last observed liveness proof
-    last_beat: float = field(default_factory=time.monotonic)
-    #: highest beat counter observed in the holder's heartbeat messages
-    beat_count: int = 0
     #: why the lease left the ACTIVE state ("", or an expiry reason)
     reason: str = ""
 
     @property
     def active(self) -> bool:
         return self.state == ACTIVE
-
-    def expired_at(self, now: float) -> bool:
-        return self.active and now - self.last_beat > self.ttl_s
 
 
 class LeaseTable:
@@ -75,17 +62,12 @@ class LeaseTable:
     The table itself is in-memory; crash tolerance comes from the
     coordinator journaling every transition (`grant`/`expire`/`complete`)
     and :meth:`apply_record` replaying those records on resume.  Replayed
-    ACTIVE leases are *not* resurrected — a restarted coordinator cannot
-    see its predecessors' heartbeat timers, so every lease that was
-    in flight at the crash is deterministically expired and re-granted
-    under a fresh token.
+    ACTIVE leases are *not* resurrected — a restarted coordinator never
+    forked their holders, so every lease that was in flight at the crash
+    is deterministically expired and re-granted under a fresh token.
     """
 
-    def __init__(self, ttl_s: float = 30.0):
-        if ttl_s <= 0:
-            raise FabricConfigError(
-                f"lease ttl_s must be positive, got {ttl_s}")
-        self.ttl_s = ttl_s
+    def __init__(self):
         self._tokens: Dict[str, int] = {}
         self._leases: Dict[str, Lease] = {}
 
@@ -107,21 +89,14 @@ class LeaseTable:
         return [shard for shard, lease in self._leases.items()
                 if lease.active]
 
-    def expired_shards(self, now: Optional[float] = None) -> List[str]:
-        """Shards whose active lease's TTL has lapsed, in grant order."""
-        now = time.monotonic() if now is None else now
-        return [shard for shard, lease in self._leases.items()
-                if lease.expired_at(now)]
-
     # -- transitions -------------------------------------------------------
 
-    def grant(self, shard: str, ttl_s: Optional[float] = None) -> Lease:
+    def grant(self, shard: str) -> Lease:
         """Grant ``shard`` under the next fencing token (work stealing).
 
-        Granting over a still-ACTIVE lease is legal — that is exactly
-        the steal path after a TTL expiry was *decided* — but the old
-        lease is first marked expired so only one lease per shard is
-        ever active.
+        Granting over a still-ACTIVE lease is legal, but the old lease
+        is first marked expired so only one lease per shard is ever
+        active.
         """
         previous = self._leases.get(shard)
         if previous is not None and previous.state == COMPLETED:
@@ -133,38 +108,12 @@ class LeaseTable:
             previous.reason = previous.reason or "superseded by re-grant"
         token = self._tokens.get(shard, 0) + 1
         self._tokens[shard] = token
-        lease = Lease(shard=shard, token=token,
-                      ttl_s=self.ttl_s if ttl_s is None else ttl_s)
+        lease = Lease(shard=shard, token=token)
         self._leases[shard] = lease
         return lease
 
-    def _checked(self, shard: str, token: int, verb: str) -> Lease:
-        lease = self._leases.get(shard)
-        if lease is None:
-            raise FabricError(
-                f"cannot {verb} shard {shard!r}: no lease was ever granted")
-        if token != lease.token:
-            raise StaleFencingToken(
-                f"cannot {verb} shard {shard!r} with fencing token "
-                f"{token}: current token is {lease.token} (holder was "
-                f"superseded)")
-        if not lease.active:
-            raise LeaseExpired(
-                f"cannot {verb} shard {shard!r}: lease token {token} is "
-                f"{lease.state} ({lease.reason or 'TTL lapsed'})")
-        return lease
-
-    def renew(self, shard: str, token: int, beat_count: int,
-              now: Optional[float] = None) -> Lease:
-        """Record a liveness proof; only *advancing* beats reset the TTL."""
-        lease = self._checked(shard, token, "renew")
-        if beat_count > lease.beat_count:
-            lease.beat_count = beat_count
-            lease.last_beat = time.monotonic() if now is None else now
-        return lease
-
-    def expire(self, shard: str, reason: str = "TTL lapsed") -> Lease:
-        """Expire the shard's active lease (TTL lapse or holder death)."""
+    def expire(self, shard: str, reason: str = "expired") -> Lease:
+        """Expire the shard's active lease (its holder exited or drained)."""
         lease = self._leases.get(shard)
         if lease is None:
             raise FabricError(
@@ -179,7 +128,20 @@ class LeaseTable:
 
     def complete(self, shard: str, token: int) -> Lease:
         """Accept a completion — the one transition fencing really guards."""
-        lease = self._checked(shard, token, "complete")
+        lease = self._leases.get(shard)
+        if lease is None:
+            raise FabricError(
+                f"cannot complete shard {shard!r}: no lease was ever "
+                f"granted")
+        if token != lease.token:
+            raise StaleFencingToken(
+                f"cannot complete shard {shard!r} with fencing token "
+                f"{token}: current token is {lease.token} (holder was "
+                f"superseded)")
+        if not lease.active:
+            raise LeaseExpired(
+                f"cannot complete shard {shard!r}: lease token {token} "
+                f"is {lease.state} ({lease.reason or 'expired'})")
         lease.state = COMPLETED
         return lease
 
@@ -192,22 +154,21 @@ class LeaseTable:
         completions mark shards done.  A lease that was ACTIVE when the
         journal ends stays EXPIRED-on-load (reason ``coordinator
         restart``): the new coordinator re-grants it under a higher
-        token rather than trusting a liveness clock it never saw.
+        token rather than trusting a holder it never forked.
         """
         kind = record.get("type")
         shard = record.get("shard")
         token = record.get("token")
         if kind == "lease_granted":
-            lease = Lease(shard=shard, token=token,
-                          ttl_s=record.get("ttl_s", self.ttl_s),
-                          state=EXPIRED, reason="coordinator restart")
+            lease = Lease(shard=shard, token=token, state=EXPIRED,
+                          reason="coordinator restart")
             self._tokens[shard] = max(self._tokens.get(shard, 0), token)
             self._leases[shard] = lease
         elif kind in ("lease_expired", "lease_paused"):
             lease = self._leases.get(shard)
             if lease is not None and lease.state != COMPLETED:
                 lease.state = EXPIRED
-                lease.reason = record.get("reason", "TTL lapsed") \
+                lease.reason = record.get("reason", "expired") \
                     if kind == "lease_expired" else "paused"
         elif kind == "lease_completed":
             lease = self._leases.get(shard)

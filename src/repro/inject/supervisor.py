@@ -144,9 +144,6 @@ class SupervisorConfig:
     #: seconds an in-flight batch may keep running after a drain request
     #: before its worker is killed
     drain_deadline_s: float = 10.0
-    #: hook SIGTERM/SIGINT while the supervisor is active (skipped
-    #: automatically off the main thread, where CPython forbids it)
-    install_signal_handlers: bool = True
 
     def __post_init__(self):
         if self.quarantine_after is not None and self.quarantine_after < 1:
@@ -220,9 +217,10 @@ class CampaignSupervisor:
         self.request_drain(f"signal {signal.Signals(signum).name}")
 
     def install(self) -> "CampaignSupervisor":
-        """Hook :data:`DRAIN_SIGNALS`, remembering the old handlers."""
-        if not self.config.install_signal_handlers:
-            return self
+        """Hook :data:`DRAIN_SIGNALS`, remembering the old handlers.
+
+        Skipped off the main thread, where CPython forbids ``signal()``.
+        """
         try:
             for signum in DRAIN_SIGNALS:
                 self._previous[signum] = signal.signal(

@@ -45,12 +45,9 @@ def toy_units(count, seed=0, delay=0.0):
             for index in range(count)]
 
 
-def toy_config(shards=4, lease_ttl_s=2.0, batch_size=20, max_batches=6,
-               **fabric_knobs):
+def toy_config(shards=4, batch_size=20, max_batches=6, **fabric_knobs):
     return FabricConfig(
-        shards=shards, lease_ttl_s=lease_ttl_s,
-        heartbeat_interval_s=0.1, poll_interval_s=0.02,
-        install_signal_handlers=False,
+        shards=shards,
         engine=EngineConfig(batch_size=batch_size,
                             max_batches=max_batches, ci_half_width=None,
                             timeout_s=None, backoff_s=0.01),
@@ -83,13 +80,12 @@ def main(argv=None):
     parser.add_argument("--delay", type=float, default=0.0)
     parser.add_argument("--batch-size", type=int, default=20)
     parser.add_argument("--batches", type=int, default=6)
-    parser.add_argument("--lease-ttl", type=float, default=2.0)
     args = parser.parse_args(argv)
     report = run_fabric_campaign(
         toy_units(args.units, seed=args.seed, delay=args.delay),
         args.fabric_dir,
-        toy_config(shards=args.shards, lease_ttl_s=args.lease_ttl,
-                   batch_size=args.batch_size, max_batches=args.batches))
+        toy_config(shards=args.shards, batch_size=args.batch_size,
+                   max_batches=args.batches))
     print(f"FABRIC_DONE paused={report.paused} "
           f"stopped_globally={report.stopped_globally}")
     return 0

@@ -63,9 +63,9 @@ class TestRunFullCampaign:
             assert sharded[name].to_dict() == single[name].to_dict()
 
     def test_sharded_campaign_refuses_an_operand_trace(self, tmp_path):
-        # holders receive their units as messages, so a trace context
-        # cannot travel with them: a typed config error, not a silently
-        # synthetic-operand campaign
+        # shards journal and merge units by kind and params alone, so a
+        # trace context cannot travel with them: a typed config error,
+        # not a silently synthetic-operand campaign
         from repro.errors import FabricConfigError
         from repro.inject.operands import OperandTrace
         with pytest.raises(FabricConfigError, match="context"):

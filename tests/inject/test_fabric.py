@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.errors import FabricConfigError, FabricError
-from repro.inject.engine import EngineConfig
+from repro.inject.engine import EngineConfig, WorkUnit
 from repro.inject.fabric import (CampaignFabric, FabricConfig,
                                  run_fabric_campaign)
 from repro.inject.merge import fabric_journal_paths
@@ -34,6 +34,26 @@ def _coordinator_records(fabric_dir):
         for line in handle:
             records.append(json.loads(line))
     return records
+
+
+def _journal_records(path):
+    """The parsed records of a journal, skipping a line still in flight."""
+    with open(path) as handle:
+        for line in handle:
+            try:
+                yield json.loads(line)
+            except ValueError:
+                continue
+
+
+def _alive(pid):
+    """True while ``pid`` runs (an exited, unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
 
 
 def _run_in_thread(fabric):
@@ -118,8 +138,6 @@ class TestFabricBasics:
     def test_bad_config_knobs_are_rejected(self):
         with pytest.raises(FabricError, match="shards"):
             FabricConfig(shards=0)
-        with pytest.raises(FabricError, match="heartbeat_interval_s"):
-            FabricConfig(lease_ttl_s=1.0, heartbeat_interval_s=2.0)
         with pytest.raises(FabricError, match="mode"):
             FabricConfig(mode="scatter")
         with pytest.raises(FabricError, match="global_ci_half_width"):
@@ -131,8 +149,7 @@ class TestFabricBasics:
     def test_replicate_mode_caps_batches_at_the_seed_stride(self):
         # shard k's seed base sits SHARD_SEED_STRIDE above shard k-1's,
         # room for 4096 batch seeds; a 4097th would be shard k's first
-        from repro.inject.engine import (WorkUnit, _batch_seed,
-                                         shard_work_unit)
+        from repro.inject.engine import _batch_seed, shard_work_unit
         unit = WorkUnit("u0", "toy", {"seed": 3})
         base = [shard_work_unit(unit, index, 2).params for index in (0, 1)]
         fits = EngineConfig(max_batches=4096, ci_half_width=None)
@@ -156,21 +173,33 @@ class TestFabricBasics:
         assert excinfo.value.severity == "config"
         assert excinfo.value.recoverable is False
 
-    def test_nonpositive_ttl_with_stealing_names_the_self_steal(self):
-        with pytest.raises(FabricConfigError, match="self-steal"):
-            FabricConfig(lease_ttl_s=0.0, steal=True)
-        # without stealing the TTL is still rejected, but the message
-        # does not warn about steals that cannot happen
-        with pytest.raises(FabricConfigError) as excinfo:
-            FabricConfig(lease_ttl_s=-1.0, steal=False)
-        assert "self-steal" not in str(excinfo.value)
+    def test_grant_ships_the_whole_engine_config(self, tmp_path,
+                                                 monkeypatch):
+        # the journaled to_dict() leaves out fsync and salvage on
+        # purpose; the holder's engine must get them all the same
+        import dataclasses
+        import pickle
 
-    def test_ttl_heartbeat_safety_factor_boundary(self):
-        # 4x the heartbeat is the floor: exactly 4x is accepted, a
-        # hair under is refused
-        FabricConfig(lease_ttl_s=0.4, heartbeat_interval_s=0.1)
-        with pytest.raises(FabricConfigError, match="at least"):
-            FabricConfig(lease_ttl_s=0.39, heartbeat_interval_s=0.1)
+        from repro.inject import fabric as fabric_module
+        record = str(tmp_path / "engine_config.pickle")
+
+        class RecordingEngine(fabric_module.CampaignEngine):
+            def __init__(self, config=None, supervisor=None):
+                super().__init__(config, supervisor)
+                with open(record, "wb") as handle:
+                    pickle.dump(config, handle)
+
+        # forked holders inherit the patched module global
+        monkeypatch.setattr(fabric_module, "CampaignEngine",
+                            RecordingEngine)
+        config = toy_config(shards=1)
+        config.engine = dataclasses.replace(
+            config.engine, journal_fsync=True, salvage=True)
+        report = run_fabric_campaign(toy_units(1), str(tmp_path / "fab"),
+                                     config)
+        assert report.shard_status == {"shard-000": "completed"}
+        with open(record, "rb") as handle:
+            assert pickle.load(handle) == config.shard_engine_config()
 
 
 class TestChaos:
@@ -179,12 +208,11 @@ class TestChaos:
         the stolen, rebased, merged campaign is byte-identical to an
         undisturbed same-seed run."""
         units = toy_units(8, delay=0.05)
-        config = toy_config(shards=4, lease_ttl_s=1.5, batch_size=10,
-                            max_batches=4)
+        config = toy_config(shards=4, batch_size=10, max_batches=4)
         undisturbed_dir = str(tmp_path / "undisturbed")
         run_fabric_campaign(toy_units(8, delay=0.05), undisturbed_dir,
-                            toy_config(shards=4, lease_ttl_s=1.5,
-                                       batch_size=10, max_batches=4))
+                            toy_config(shards=4, batch_size=10,
+                                       max_batches=4))
 
         chaos_dir = str(tmp_path / "chaos")
         fabric = CampaignFabric(units, chaos_dir, config)
@@ -208,10 +236,9 @@ class TestChaos:
     def test_sole_holder_sigkill_is_replaced_and_byte_identical(
             self, tmp_path):
         """A 1-shard fabric has no other holder to steal the lease: the
-        listener must fork a replacement, which takes the expired lease
+        coordinator forks a replacement, which takes the expired lease
         as lease-002 and finishes byte-identical to an undisturbed run."""
-        config = toy_config(shards=1, lease_ttl_s=1.0, batch_size=10,
-                            max_batches=4)
+        config = toy_config(shards=1, batch_size=10, max_batches=4)
         undisturbed_dir = str(tmp_path / "undisturbed")
         run_fabric_campaign(toy_units(2, delay=0.05), undisturbed_dir,
                             config)
@@ -237,14 +264,39 @@ class TestChaos:
             self, tmp_path):
         fabric = CampaignFabric(
             toy_units(4, delay=0.1), str(tmp_path / "fab"),
-            toy_config(shards=2, lease_ttl_s=1.0, steal=False,
-                       max_batches=4))
+            toy_config(shards=2, steal=False, max_batches=4))
         thread, result = _run_in_thread(fabric)
         __, process = _leased_holder_process(fabric)
+        deadline = time.time() + 30.0
+        while len(fabric.processes) < 2 and time.time() < deadline:
+            time.sleep(0.01)
+        pids = [holder.pid for holder in list(fabric.processes.values())]
+        assert len(pids) == 2
         os.kill(process.pid, signal.SIGKILL)
         thread.join(60)
         assert isinstance(result.get("error"), FabricError)
         assert "steal" in str(result["error"])
+        # the error killed the surviving holder, and both were reaped
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_poison_shard_exhausts_its_lease_attempts(self, tmp_path):
+        # a unit kind no holder has registered makes every holder exit
+        # 1; each exit expires its lease at once, so the second grant's
+        # exit exhausts max_lease_attempts=2 without waiting on a timer
+        fabric_dir = str(tmp_path / "fab")
+        units = [WorkUnit("u0", "fabric-unregistered", {"seed": 0})]
+        with pytest.raises(FabricError, match="exhausted") as excinfo:
+            run_fabric_campaign(units, fabric_dir,
+                                toy_config(shards=1, max_lease_attempts=2))
+        assert excinfo.value.context == {"shard": "shard-000", "token": 2}
+        expiries = [record for record
+                    in _coordinator_records(fabric_dir)
+                    if record["type"] == "lease_expired"]
+        assert [record["token"] for record in expiries] == [1, 2]
+        assert all(record["reason"].endswith("exited with code 1")
+                   for record in expiries)
 
     def test_global_early_stop_drains_every_shard(self, tmp_path):
         fabric_dir = str(tmp_path / "fab")
@@ -268,9 +320,13 @@ class TestChaos:
                         drained_shards.add(
                             os.path.basename(path).split(".")[0])
         assert drained_shards == set(report.shard_status)
-        kinds = [record["type"]
-                 for record in _coordinator_records(fabric_dir)]
-        assert "global_stop" in kinds
+        records = _coordinator_records(fabric_dir)
+        assert "global_stop" in [record["type"] for record in records]
+        # a paused exit under the global stop completes its lease
+        completions = [record for record in records
+                       if record["type"] == "lease_completed"]
+        assert len(completions) == 4
+        assert all(record["paused"] for record in completions)
 
     def test_programmatic_drain_pauses_and_resume_finishes(self, tmp_path):
         fabric_dir = str(tmp_path / "fab")
@@ -303,8 +359,7 @@ class TestCoordinatorCrash:
             [sys.executable, "-m", "tests.inject.fabric_driver",
              "--fabric-dir", fabric_dir, "--shards", "4",
              "--units", "8", "--seed", str(seed), "--delay", "0.05",
-             "--batch-size", "10", "--batches", "6",
-             "--lease-ttl", "2.0"],
+             "--batch-size", "10", "--batches", "6"],
             cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
 
@@ -320,21 +375,50 @@ class TestCoordinatorCrash:
             time.sleep(0.05)
         raise AssertionError("fabric made no journal progress")
 
+    def _attached(self, fabric_dir):
+        """(lease journal, worker_attached record) for every holder."""
+        return [(path, record) for path in fabric_journal_paths(fabric_dir)
+                for record in _journal_records(path)
+                if record.get("type") == "worker_attached"]
+
     def _holder_pid(self, fabric_dir, deadline_s=60.0):
         """A holder's pid, from a lease journal's worker_attached record."""
         deadline = time.time() + deadline_s
         while time.time() < deadline:
-            for path in fabric_journal_paths(fabric_dir):
-                with open(path) as handle:
-                    for line in handle:
-                        try:
-                            record = json.loads(line)
-                        except ValueError:
-                            continue
-                        if record.get("type") == "worker_attached":
-                            return record["pid"]
+            attached = self._attached(fabric_dir)
+            if attached:
+                return attached[0][1]["pid"]
             time.sleep(0.05)
         raise AssertionError("no holder attached")
+
+    def _assert_orphans_drain(self, fabric_dir, killed, deadline_s=10.0):
+        """Holders outliving their coordinator drain and exit."""
+        def batches(records):
+            return sum(record.get("type") == "batch" for record in records)
+
+        planned = next(
+            record["shards"] for record in _journal_records(
+                os.path.join(fabric_dir, "coordinator.jsonl"))
+            if record.get("type") == "fabric_planned")
+        orphans = [(path, record, batches(_journal_records(path)))
+                   for path, record in self._attached(fabric_dir)
+                   if record["pid"] != killed]
+        deadline = time.time() + deadline_s
+        for __, record, __ in orphans:
+            while _alive(record["pid"]):
+                assert time.time() < deadline, \
+                    f"holder {record['pid']} outlived its coordinator"
+                time.sleep(0.02)
+        for path, record, before in orphans:
+            records = list(_journal_records(path))
+            # only the batch in flight when the pipe closed may land
+            assert batches(records) - before <= 1, path
+            finished = {entry.get("unit") for entry in records
+                        if entry.get("type") == "unit_done"}
+            # a holder whose in-flight batch was its shard's last has
+            # nothing to drain; every other one paused at a safe point
+            assert records[-1]["type"] == "campaign_paused" or \
+                finished >= set(planned[record["shard"]]), path
 
     def test_sigkilled_shard_and_coordinator_resume_byte_identical(
             self, tmp_path):
@@ -347,7 +431,8 @@ class TestCoordinatorCrash:
         coordinator = self._driver(chaos_dir, seed)
         try:
             self._wait_for_progress(chaos_dir)
-            os.kill(self._holder_pid(chaos_dir), signal.SIGKILL)
+            victim = self._holder_pid(chaos_dir)
+            os.kill(victim, signal.SIGKILL)
             time.sleep(0.5)  # let the kill land mid-lease
             coordinator.kill()
             coordinator.wait(60)
@@ -355,6 +440,8 @@ class TestCoordinatorCrash:
             if coordinator.poll() is None:
                 coordinator.kill()
                 coordinator.wait(60)
+        # the dead coordinator closed every control pipe by dying
+        self._assert_orphans_drain(chaos_dir, killed=victim)
 
         resumed = self._driver(chaos_dir, seed)
         output = resumed.stdout.read()

@@ -11,7 +11,7 @@ from repro.inject.lease import LeaseTable, rebase_journal
 
 class TestLeaseTable:
     def test_grant_increments_fencing_token(self):
-        table = LeaseTable(ttl_s=5.0)
+        table = LeaseTable()
         assert table.token("shard-000") == 0
         first = table.grant("shard-000")
         assert first.token == 1 and first.active
@@ -22,26 +22,24 @@ class TestLeaseTable:
 
     def test_stale_token_cannot_complete(self):
         # the fencing rule: a superseded holder finishing late is refused
-        table = LeaseTable(ttl_s=5.0)
+        table = LeaseTable()
         old = table.grant("shard-000")
-        table.expire("shard-000", "TTL lapsed")
+        table.expire("shard-000", "holder exited with code -9")
         new = table.grant("shard-000")
         with pytest.raises(StaleFencingToken, match="superseded"):
             table.complete("shard-000", old.token)
         table.complete("shard-000", new.token)
         assert table.completed("shard-000")
 
-    def test_expired_lease_cannot_complete_or_renew(self):
-        table = LeaseTable(ttl_s=5.0)
+    def test_expired_lease_cannot_complete(self):
+        table = LeaseTable()
         lease = table.grant("shard-000")
-        table.expire("shard-000", "no heartbeat")
-        with pytest.raises(LeaseExpired, match="no heartbeat"):
+        table.expire("shard-000", "holder exited with code 1")
+        with pytest.raises(LeaseExpired, match="exited with code 1"):
             table.complete("shard-000", lease.token)
-        with pytest.raises(LeaseExpired):
-            table.renew("shard-000", lease.token, beat_count=3)
 
     def test_completed_shard_cannot_be_regranted_or_expired(self):
-        table = LeaseTable(ttl_s=5.0)
+        table = LeaseTable()
         lease = table.grant("shard-000")
         table.complete("shard-000", lease.token)
         with pytest.raises(FabricError, match="refusing to re-grant"):
@@ -49,26 +47,15 @@ class TestLeaseTable:
         with pytest.raises(FabricError, match="already completed"):
             table.expire("shard-000")
 
-    def test_only_advancing_beats_reset_the_ttl(self):
-        table = LeaseTable(ttl_s=1.0)
-        lease = table.grant("shard-000")
-        start = lease.last_beat
-        table.renew("shard-000", lease.token, beat_count=2, now=start + 0.5)
-        assert lease.last_beat == start + 0.5
-        # a *repeated* beat counter is a frozen holder, not liveness
-        table.renew("shard-000", lease.token, beat_count=2, now=start + 9.0)
-        assert lease.last_beat == start + 0.5
-        assert table.expired_shards(now=start + 2.0) == ["shard-000"]
-
     def test_grant_over_active_lease_expires_it(self):
-        table = LeaseTable(ttl_s=5.0)
+        table = LeaseTable()
         old = table.grant("shard-000")
         new = table.grant("shard-000")
         assert not old.active and old.reason == "superseded by re-grant"
         assert new.active and new.token == old.token + 1
 
     def test_unknown_shard_operations_fail_loudly(self):
-        table = LeaseTable(ttl_s=5.0)
+        table = LeaseTable()
         with pytest.raises(FabricError, match="no lease was ever granted"):
             table.complete("shard-404", 1)
         with pytest.raises(FabricError, match="no lease was ever granted"):
@@ -77,9 +64,10 @@ class TestLeaseTable:
 
 class TestReplay:
     def test_replayed_active_lease_loads_expired(self):
-        # a restarted coordinator never trusts liveness clocks it
-        # didn't observe: in-flight leases are re-granted under token+1
-        table = LeaseTable(ttl_s=5.0)
+        # a restarted coordinator never trusts a holder it did not
+        # fork: in-flight leases are re-granted under token+1 (grants
+        # journaled with the old lease TTL, ttl_s, replay the same way)
+        table = LeaseTable()
         table.apply_record({"type": "lease_granted", "shard": "shard-000",
                             "token": 3, "ttl_s": 5.0})
         lease = table.current("shard-000")
@@ -88,7 +76,7 @@ class TestReplay:
         assert table.grant("shard-000").token == 4
 
     def test_replayed_completion_sticks(self):
-        table = LeaseTable(ttl_s=5.0)
+        table = LeaseTable()
         table.apply_record({"type": "lease_granted", "shard": "shard-000",
                             "token": 2, "ttl_s": 5.0})
         table.apply_record({"type": "lease_completed",
@@ -96,7 +84,7 @@ class TestReplay:
         assert table.completed("shard-000")
 
     def test_replayed_pause_allows_regrant(self):
-        table = LeaseTable(ttl_s=5.0)
+        table = LeaseTable()
         table.apply_record({"type": "lease_granted", "shard": "shard-000",
                             "token": 1, "ttl_s": 5.0})
         table.apply_record({"type": "lease_paused", "shard": "shard-000",

@@ -212,7 +212,6 @@ _UNREGISTERED_ALLOWED = {
     "KernelHalt",          # warp-level control flow, caught by simulator
     "_Stale",              # replay-internal schema signal
     "SystemExit",
-    "NotImplementedError",  # abstract interface methods (transport)
 }
 
 
