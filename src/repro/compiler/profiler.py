@@ -12,8 +12,8 @@ observer hook plays that role:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -56,39 +56,46 @@ class MixCounts:
         return self.total / baseline_total - 1.0
 
 
-class CodeMixProfiler:
-    """Observer counting every issued instruction into its mix category."""
+def mix_category(instruction: Instruction) -> str:
+    """The :class:`MixCounts` field one issue of ``instruction`` counts in."""
+    klass = instruction.meta.get("klass", "baseline")
+    if klass == "duplicated":
+        return "checked_duplicated"
+    if klass == "predicted":
+        return "checked_predicted"
+    if klass in ("checking", "inserted"):
+        return klass
+    # A baseline instruction of the original program.
+    role = instruction.meta.get("role")
+    if role == "original":
+        return "checked_duplicated"
+    if role == "predicted":
+        return "checked_predicted"
+    if instruction.spec.dup_class in (DupClass.BOUNDARY, DupClass.NEUTRAL):
+        return "not_eligible"
+    return "plain_eligible"
 
-    wants_values = False
+
+class CodeMixProfiler:
+    """Observer counting every issued instruction into its mix category.
+
+    The category of each pc is computed once per kernel, on the first
+    step of that kernel the profiler sees.
+    """
 
     def __init__(self):
         self.counts = MixCounts()
+        self._kernel = None
+        self._categories: List[str] = []
 
     def on_step(self, warp, info) -> None:
-        self.counts_for(info.instruction)
-
-    def counts_for(self, instruction: Instruction) -> None:
-        klass = instruction.meta.get("klass", "baseline")
-        role = instruction.meta.get("role")
+        if warp.kernel is not self._kernel:
+            self._kernel = warp.kernel
+            self._categories = [mix_category(instruction) for instruction
+                                in warp.kernel.instructions]
+        category = self._categories[info.pc]
         counts = self.counts
-        if klass == "checking":
-            counts.checking += 1
-        elif klass == "inserted":
-            counts.inserted += 1
-        elif klass == "duplicated":
-            counts.checked_duplicated += 1
-        elif klass == "predicted":
-            counts.checked_predicted += 1
-        else:  # baseline instruction of the original program
-            if role == "original":
-                counts.checked_duplicated += 1
-            elif role == "predicted":
-                counts.checked_predicted += 1
-            elif instruction.spec.dup_class in (DupClass.BOUNDARY,
-                                                DupClass.NEUTRAL):
-                counts.not_eligible += 1
-            else:
-                counts.plain_eligible += 1
+        setattr(counts, category, getattr(counts, category) + 1)
 
 
 #: opcode -> operand-trace kind for the six Figure 10 units
@@ -113,8 +120,6 @@ class OperandTracer:
     (their inputs are gone by the time the observer runs); this loses a
     small, unbiased slice of the stream.
     """
-
-    wants_values = True
 
     def __init__(self, trace: Optional[OperandTrace] = None,
                  limit_per_kind: int = 4000, lanes_per_step: int = 2):

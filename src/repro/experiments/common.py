@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from repro.compiler import (CodeMixProfiler, MixCounts, compile_for_scheme,
                             resilience_mode)
 from repro.ecc import SecDedDpSwap
 from repro.errors import CompilationError, InvalidArgument
-from repro.gpu import Device, ResilienceState, TimingParams, run_functional
+from repro.gpu import Device, ResilienceState
 from repro.gpu.power import PowerEstimate, PowerModel
-from repro.workloads import WORKLOADS, WorkloadInstance, get_workload
+from repro.workloads import WorkloadInstance, get_workload
 
 
 @dataclass

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.compiler import MIX_CATEGORIES
 from repro.experiments.common import (SchemeRun, render_table, run_matrix,
                                       slowdown)
-from repro.gpu import Device, TimingParams
-from repro.workloads import ALL_ORDER, RODINIA_ORDER
+from repro.gpu import Device
+from repro.workloads import ALL_ORDER
 
 #: Figure 12's evaluated schemes, in display order
 FIG12_SCHEMES = ("baseline", "swdup", "swap-ecc", "pre-addsub", "pre-mad")

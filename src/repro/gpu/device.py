@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState
-from repro.gpu.sm import SmStats, StreamingMultiprocessor
+from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.timing import Occupancy, TimingParams
 from repro.gpu.warp import KernelHalt, Warp
 from repro.gpu.watchdog import Watchdog, WatchdogConfig
@@ -70,7 +72,8 @@ class Device:
                 sm_index, self.params, kernel, launch, global_memory,
                 state, observer, watchdog)
             try:
-                sm_cycles = sm.run(cta_indices)
+                with np.errstate(all="ignore"):
+                    sm_cycles = sm.run(cta_indices)
             except KernelHalt as halt:
                 halted = halt.reason
                 sm_cycles = sm.stats.cycles
@@ -90,6 +93,7 @@ class Device:
             halted=halted)
 
 
+@np.errstate(all="ignore")
 def run_functional_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
                        global_memory: MemorySpace,
                        resilience: Optional[ResilienceState] = None,

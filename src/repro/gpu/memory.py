@@ -1,14 +1,13 @@
-"""Global and shared memory spaces (word-addressed) with coalescing stats.
+"""Global and shared memory spaces (word-addressed).
 
 All addresses in the simulator are indices of 32-bit words.  The memory
 subsystem sits outside the SwapCodes sphere of replication (Figure 1) and
 is assumed storage-ECC protected, so it needs no error modelling — only
-functional behaviour plus the transaction counts the timing model uses.
+functional behaviour, plus the segment size the coalescing profile
+(:func:`repro.gpu.warp.global_access_profile`) counts transactions in.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -125,14 +124,6 @@ class MemorySpace:
             self.words[address] = new
             result[lane] = old
         return result
-
-    @staticmethod
-    def transactions(addresses: np.ndarray, mask: np.ndarray) -> int:
-        """Coalescing model: distinct 128-byte segments touched by a warp."""
-        if not mask.any():
-            return 0
-        segments = np.unique(addresses[mask] // SEGMENT_WORDS)
-        return len(segments)
 
     # ------------------------------------------------------------------
     def _check_range(self, address: int, count: int) -> None:

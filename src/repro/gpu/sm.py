@@ -2,40 +2,98 @@
 
 Each SM hosts the CTAs occupancy allows, issuing up to ``issue_width``
 instructions per cycle from ready warps (greedy round-robin).  A warp can
-issue when its source registers/predicates are ready (scoreboard) and its
-target pipe's initiation interval has elapsed.  Global memory instructions
-occupy the LSU in proportion to their coalescing transaction count and
-complete after the load latency; barriers park warps until the whole CTA
-arrives.
+issue when its source registers/predicates are ready (scoreboard) and a
+unit of its target pipe is free (initiation interval).  Global memory
+instructions occupy the LSU in proportion to their coalescing transaction
+count and complete after the load latency, or after the L1 hit latency
+when every segment they touch hits the SM's LRU L1; barriers park warps
+until every live warp of the CTA arrives.
 
 Writes to the same register from an instruction pair (Swap-ECC's original
 and shadow) do not stall each other — the in-order pipeline retires them in
 order — but any reader waits for the *later* writeback, which is exactly
 the write-after-write dependence Section III-A describes.
 
-A warp's next instruction, its pipe and its operand-ready cycle change only
-when that warp issues: the scoreboard and issue slot are written only when
-the warp's own instruction is accounted, and its SIMT stack only by its own
-step.  Each scheduler slot therefore caches them and refetches on the
-warp's first scan after it issues.  The refetch stays lazy on purpose:
-fetching is what finds a warp's stack empty and marks it done, so fetching
-right after the issue would retire CTAs a cycle early and shift every
-cycle count.
+The per-cycle scan over the resident warps reads only cached fields;
+everything else costs once per issued instruction or once per launch:
+
+* :meth:`StreamingMultiprocessor.run` decodes the kernel once into one
+  record per pc: pipe index, initiation interval, latency, and the
+  registers and predicates read and written.  The scoreboard and the
+  accounting read these records, not the instruction.
+* Pipes are indexed by int.  Each keeps a heap of its units' free
+  cycles and, beside it, its earliest free cycle, so the issue check is
+  one list read.
+* A warp's next instruction, its pipe and its operand-ready cycle change
+  only when that warp issues, so each scheduler slot caches them and
+  refetches on the warp's first scan after it issues.  The refetch stays
+  lazy on purpose: fetching is what finds a warp's stack empty and marks
+  it done, so fetching right after the issue would retire CTAs a cycle
+  early and shift every cycle count.
+* Each CTA counts its live warps.  The fetch that finds a warp done
+  decrements the count; the CTA retires once it reaches zero, and until
+  then the exit releases a barrier the remaining live warps all wait at.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.gpu.isa import OPCODES, Instruction, OperandKind, Pipe
+from repro.gpu.isa import OperandKind, Pipe
 from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState
 from repro.gpu.timing import TimingParams
-from repro.gpu.warp import KernelHalt, Warp
+from repro.gpu.warp import KernelHalt, StackEntry, Warp
+
+#: the timing model's pipes, in the order their int indices follow
+_PIPES = tuple(Pipe)
+_PIPE_NAMES = tuple(pipe.value for pipe in _PIPES)
+_LSU = _PIPES.index(Pipe.LSU)
+
+
+class _Decoded(NamedTuple):
+    """What the timing model needs of the instruction at one pc."""
+
+    pipe: int
+    interval: int
+    latency: int
+    #: 32-bit registers the sources read
+    sources: Tuple[int, ...]
+    #: predicates read: the guard, then SEL's chooser
+    predicates: Tuple[int, ...]
+    #: 32-bit registers written
+    dests: Tuple[int, ...]
+    #: predicate written (ISETP/FSETP/DSETP), else None
+    dest_predicate: Optional[int]
+    #: an all-hit L1 access completes at the L1 hit latency (LDG, ATOM)
+    l1_load: bool
+
+
+def _decode(kernel: Kernel) -> List[_Decoded]:
+    """One timing record per pc of ``kernel``."""
+    records = []
+    for instruction in kernel.instructions:
+        spec = instruction.spec
+        predicates = tuple(operand.value for operand in instruction.sources
+                           if operand.kind is OperandKind.PREDICATE)
+        if instruction.predicate is not None:
+            predicates = (instruction.predicate,) + predicates
+        dest = instruction.dest
+        records.append(_Decoded(
+            pipe=_PIPES.index(spec.pipe),
+            interval=spec.initiation_interval,
+            latency=spec.latency,
+            sources=instruction.source_registers(),
+            predicates=predicates,
+            dests=instruction.dest_registers(),
+            dest_predicate=(dest.value if dest is not None and
+                            dest.kind is OperandKind.PREDICATE else None),
+            l1_load=instruction.op in ("LDG", "ATOM")))
+    return records
 
 
 @dataclass
@@ -44,17 +102,9 @@ class SmStats:
 
     cycles: int = 0
     issued: int = 0
+    #: issues per pipe name, keys in first-issue order
     issued_by_pipe: Dict[str, int] = field(default_factory=dict)
     memory_transactions: int = 0
-    idle_cycles: int = 0
-    l1_hits: int = 0
-    l1_misses: int = 0
-
-    def count(self, pipe: Pipe) -> None:
-        """Tally one issued instruction against its pipe."""
-        self.issued += 1
-        self.issued_by_pipe[pipe.value] = \
-            self.issued_by_pipe.get(pipe.value, 0) + 1
 
 
 class L1Cache:
@@ -78,15 +128,12 @@ class L1Cache:
 
 
 class _Cta:
-    """One resident CTA: its warps and shared memory."""
+    """One resident CTA: its warps and how many are still live."""
 
     def __init__(self, cta_index: int, warps: List[Warp]):
         self.cta_index = cta_index
         self.warps = warps
-
-    @property
-    def done(self) -> bool:
-        return all(warp.done for warp in self.warps)
+        self.live = len(warps)
 
     def barrier_release(self) -> bool:
         """If every live warp is at the barrier, release them all."""
@@ -101,54 +148,27 @@ class _Cta:
 class _Slot:
     """Scheduler state for one resident warp.
 
-    ``instruction``, ``ready`` and ``pipe`` describe the warp's next
-    instruction.  They hold from one issue to the next, so they are
-    recomputed only while ``stale`` is set, which every issue sets again.
+    ``entry``, ``record``, ``pipe`` and ``ready`` describe the warp's
+    next instruction: its stack entry, its decoded record, its pipe
+    index and the cycle its operands are ready.  They hold from one
+    issue to the next, so they are recomputed only while ``stale`` is
+    set, which every issue sets again.
     """
 
     __slots__ = ("warp", "cta", "reg_ready", "pred_ready", "next_free",
-                 "instruction", "ready", "pipe", "stale")
+                 "entry", "record", "pipe", "ready", "stale")
 
-    def __init__(self, warp: Warp, cta: _Cta):
+    def __init__(self, warp: Warp, cta: _Cta, next_free: int):
         self.warp = warp
         self.cta = cta
         self.reg_ready: Dict[int, int] = {}
         self.pred_ready: Dict[int, int] = {}
-        self.next_free = 0
-        self.instruction: Optional[Instruction] = None
+        self.next_free = next_free
+        self.entry: Optional[StackEntry] = None
+        self.record: Optional[_Decoded] = None
+        self.pipe = 0
         self.ready = 0
-        self.pipe: Optional[Pipe] = None
         self.stale = True
-
-    def refresh(self) -> bool:
-        """Fetch the warp's next instruction; False once the warp is done."""
-        entry = self.warp.current_entry()
-        if entry is None:
-            return False
-        instruction = self.warp.kernel.instructions[entry.pc]
-        self.instruction = instruction
-        self.ready = self.ready_cycle(instruction)
-        self.pipe = instruction.spec.pipe
-        self.stale = False
-        return True
-
-    def ready_cycle(self, instruction: Instruction) -> int:
-        """Earliest cycle this instruction's operands are all available."""
-        ready = self.next_free
-        for register in instruction.source_registers():
-            ready = max(ready, self.reg_ready.get(register, 0))
-        # Predicated execution reads the guard predicate; SEL reads one too.
-        if instruction.predicate is not None:
-            ready = max(ready,
-                        self.pred_ready.get(instruction.predicate, 0))
-        for operand in instruction.sources:
-            if operand.kind is OperandKind.PREDICATE:
-                ready = max(ready, self.pred_ready.get(operand.value, 0))
-        # Write-after-write needs no issue stall: the in-order pipeline
-        # retires same-register writes in order (Section III-A), so a
-        # Swap-ECC shadow issues right behind its original.  Readers wait
-        # for the *latest* in-flight write via the max() in _account.
-        return ready
 
 
 class StreamingMultiprocessor:
@@ -168,6 +188,13 @@ class StreamingMultiprocessor:
         self.stats = SmStats()
         self.register_count = max(kernel.register_count(), 1)
         self.l1 = L1Cache(params.l1_lines)
+        self._records: List[_Decoded] = []
+        #: CTAs whose last warp was found done, not yet retired
+        self._finished: List[_Cta] = []
+        #: per pipe index: a heap of its units' free cycles
+        self._units: List[List[int]] = []
+        #: per pipe index: its earliest free cycle (the heap's top)
+        self._pipe_free: List[int] = []
 
     # ------------------------------------------------------------------
     def _make_cta(self, cta_index: int) -> _Cta:
@@ -192,11 +219,16 @@ class StreamingMultiprocessor:
     def run(self, cta_indices: List[int]) -> int:
         """Run the given CTAs to completion; returns total cycles."""
         occupancy = self.params.occupancy(self.kernel, self.launch)
+        self._records = _decode(self.kernel)
+        self._units = [[0] * self.params.pipe_units(pipe) for pipe in _PIPES]
+        self._pipe_free = [0] * len(_PIPES)
+        pipe_free = self._pipe_free
+        finished = self._finished
+        issue_width = self.params.issue_width
+        watchdog = self.watchdog
         pending = list(cta_indices)
         slots: List[_Slot] = []
         ctas: List[_Cta] = []
-        pipe_free: Dict[Pipe, List[int]] = {
-            pipe: [0] * self.params.pipe_units(pipe) for pipe in Pipe}
         cycle = 0
         rr_pointer = 0
 
@@ -204,49 +236,48 @@ class StreamingMultiprocessor:
             while pending and len(ctas) < occupancy.ctas_per_sm:
                 cta = self._make_cta(pending.pop(0))
                 ctas.append(cta)
-                for warp in cta.warps:
-                    slot = _Slot(warp, cta)
-                    slot.next_free = cycle
-                    slots.append(slot)
+                slots.extend(_Slot(warp, cta, cycle) for warp in cta.warps)
 
         admit()
         while slots or pending:
             issued = 0
-            for position in chain(range(rr_pointer, len(slots)),
-                                  range(rr_pointer)):
-                if issued >= self.params.issue_width:
+            start = rr_pointer
+            for offset, slot in enumerate(slots[start:] + slots[:start]):
+                if issued >= issue_width:
                     break
-                slot = slots[position]
+                # A slot whose operands are not ready yet was fetched
+                # after its last issue: not stale, done or parked.
+                if slot.ready > cycle:
+                    continue
                 warp = slot.warp
                 if warp.done or warp.at_barrier:
                     continue
-                if slot.stale and not slot.refresh():
+                if slot.stale and (not self._fetch(slot)
+                                   or slot.ready > cycle):
                     continue
-                if slot.ready > cycle:
-                    continue
-                if min(pipe_free[slot.pipe]) > cycle:
+                if pipe_free[slot.pipe] > cycle:
                     continue
                 try:
-                    info = warp.step()
+                    info = warp.step(slot.entry)
                 except KernelHalt:
                     # The halting instruction issued in this cycle.
                     self.stats.cycles = cycle + 1
                     raise
                 slot.stale = True
                 issued += 1
-                if self.watchdog is not None:
-                    self.watchdog.tick(slot.cta.cta_index, warp.warp_index)
-                rr_pointer = (position + 1) % len(slots)
-                self._account(slot, info, pipe_free, cycle)
+                if watchdog is not None:
+                    watchdog.tick(slot.cta.cta_index, warp.warp_index)
+                rr_pointer = (start + offset + 1) % len(slots)
+                self._account(slot, info, cycle)
                 if info.barrier:
                     slot.cta.barrier_release()
 
             # Retire finished CTAs and admit new ones.
-            finished = [cta for cta in ctas if cta.done]
             if finished:
                 for cta in finished:
                     ctas.remove(cta)
-                slots = [slot for slot in slots if not slot.warp.done]
+                finished.clear()
+                slots[:] = [slot for slot in slots if not slot.warp.done]
                 rr_pointer = 0
                 admit()
 
@@ -255,69 +286,107 @@ class StreamingMultiprocessor:
             if issued:
                 cycle += 1
             else:
-                if self.watchdog is not None:
-                    self.watchdog.check_deadline()
-                cycle = self._skip_to_next_event(slots, pipe_free, cycle)
+                if watchdog is not None:
+                    watchdog.check_deadline()
+                cycle = self._skip_to_next_event(slots, cycle)
         self.stats.cycles = cycle
         return cycle
 
     # ------------------------------------------------------------------
-    def _account(self, slot: _Slot, info,
-                 pipe_free: Dict[Pipe, List[int]], cycle: int) -> None:
-        instruction = slot.instruction
-        pipe = slot.pipe
-        spec = instruction.spec
-        interval = spec.initiation_interval
-        latency = spec.latency
-        if pipe is Pipe.LSU:
-            transactions = max(1, info.transactions)
-            interval = interval + self.params.lsu_cycles_per_transaction * \
-                (transactions - 1)
-            if info.segments:
-                hits = sum(self.l1.access(segment)
-                           for segment in info.segments)
-                misses = len(info.segments) - hits
-                self.stats.l1_hits += hits
-                self.stats.l1_misses += misses
-                if instruction.op in ("LDG", "ATOM") and misses == 0:
-                    latency = self.params.l1_hit_latency
-            latency = latency + 2 * (transactions - 1)
-            self.stats.memory_transactions += transactions
-        units = pipe_free[pipe]
-        unit = min(range(len(units)), key=units.__getitem__)
-        units[unit] = cycle + interval
-        slot.next_free = cycle + 1
-        for register in instruction.dest_registers():
-            slot.reg_ready[register] = max(
-                slot.reg_ready.get(register, 0), cycle + latency)
-        if instruction.dest is not None and \
-                instruction.dest.kind is OperandKind.PREDICATE:
-            slot.pred_ready[instruction.dest.value] = cycle + latency
-        self.stats.count(pipe)
+    def _fetch(self, slot: _Slot) -> bool:
+        """Refresh a stale slot; False once its warp is found done.
 
-    def _skip_to_next_event(self, slots: List[_Slot],
-                            pipe_free: Dict[Pipe, List[int]],
-                            cycle: int) -> int:
+        The warp found done leaves its CTA's live count.  The last one
+        queues the CTA for retirement; any other may be the warp the
+        rest of the CTA waits for at a barrier, so it tries a release.
+        """
+        entry = slot.warp.current_entry()
+        if entry is None:
+            cta = slot.cta
+            cta.live -= 1
+            if cta.live:
+                cta.barrier_release()
+            else:
+                self._finished.append(cta)
+            return False
+        record = self._records[entry.pc]
+        ready = slot.next_free
+        reg_ready = slot.reg_ready
+        for register in record.sources:
+            at = reg_ready.get(register, 0)
+            if at > ready:
+                ready = at
+        pred_ready = slot.pred_ready
+        for predicate in record.predicates:
+            at = pred_ready.get(predicate, 0)
+            if at > ready:
+                ready = at
+        # Write-after-write needs no issue stall: the in-order pipeline
+        # retires same-register writes in order (Section III-A), so a
+        # Swap-ECC shadow issues right behind its original.  Readers wait
+        # for the *latest* in-flight write via _account.
+        slot.entry = entry
+        slot.record = record
+        slot.pipe = record.pipe
+        slot.ready = ready
+        slot.stale = False
+        return True
+
+    def _account(self, slot: _Slot, info, cycle: int) -> None:
+        (pipe, interval, latency, _, _, dests, dest_predicate,
+         l1_load) = slot.record
+        stats = self.stats
+        if pipe == _LSU:
+            transactions = max(1, info.transactions)
+            interval += self.params.lsu_cycles_per_transaction * \
+                (transactions - 1)
+            segments = info.segments
+            if segments:
+                access = self.l1.access
+                hits = sum(access(segment) for segment in segments)
+                if l1_load and hits == len(segments):
+                    latency = self.params.l1_hit_latency
+            latency += 2 * (transactions - 1)
+            stats.memory_transactions += transactions
+        units = self._units[pipe]
+        heapq.heapreplace(units, cycle + interval)
+        self._pipe_free[pipe] = units[0]
+        slot.next_free = cycle + 1
+        done_at = cycle + latency
+        reg_ready = slot.reg_ready
+        for register in dests:
+            if reg_ready.get(register, 0) < done_at:
+                reg_ready[register] = done_at
+        if dest_predicate is not None:
+            slot.pred_ready[dest_predicate] = done_at
+        stats.issued += 1
+        by_pipe = stats.issued_by_pipe
+        name = _PIPE_NAMES[pipe]
+        by_pipe[name] = by_pipe.get(name, 0) + 1
+
+    def _skip_to_next_event(self, slots: List[_Slot], cycle: int) -> int:
         """Nothing issued: jump to the earliest cycle something could."""
-        candidates = []
+        pipe_free = self._pipe_free
+        earliest = None
         for slot in slots:
             warp = slot.warp
             if warp.done or warp.at_barrier:
                 continue
-            if slot.stale and not slot.refresh():
+            if slot.stale and not self._fetch(slot):
                 continue
-            candidates.append(max(slot.ready, min(pipe_free[slot.pipe])))
-        if not candidates:
-            barriers = [slot for slot in slots
-                        if not slot.warp.done and slot.warp.at_barrier]
-            if barriers:
+            candidate = max(slot.ready, pipe_free[slot.pipe])
+            if earliest is None or candidate < earliest:
+                earliest = candidate
+        if earliest is None:
+            if any(not slot.warp.done and slot.warp.at_barrier
+                   for slot in slots):
+                # Unreachable while every arrival and exit tries a
+                # release; kept so a broken release cannot spin forever.
                 raise SimulationError(
                     f"{self.kernel.name}: deadlock — warps stuck at a "
                     f"barrier that can never release")
             return cycle
-        earliest = min(candidates)
         if earliest <= cycle:
             # Should not happen; guard against infinite loops.
             return cycle + 1
-        self.stats.idle_cycles += earliest - cycle
         return earliest

@@ -810,6 +810,7 @@ class TrialRunResult:
     fallback_reasons: List[Optional[str]]
 
 
+@np.errstate(all="ignore")
 def run_trials(kernel: Kernel, launch: LaunchConfig, image: np.ndarray,
                states: Sequence[ResilienceState],
                max_steps: Optional[int] = 50_000_000,

@@ -19,16 +19,16 @@ and the single-pass memory-access profiles
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.ecc.vectorized import READ_CORRECTED, READ_DUE
 from repro.errors import SimulationError
-from repro.gpu.isa import (OPCODES, PT, RZ, WARP_SIZE, Instruction, Operand,
-                           OperandKind)
-from repro.gpu.memory import MemorySpace
+from repro.gpu.isa import PT, RZ, WARP_SIZE, Instruction, Operand, OperandKind
+from repro.gpu.memory import SEGMENT_WORDS, MemorySpace
 from repro.gpu.program import Kernel
 from repro.gpu.resilience import ResilienceState, TaintTracker
 
@@ -122,7 +122,7 @@ class Warp:
             "SR_NCTAID": np.full(WARP_SIZE, grid_ctas, dtype=np.uint32),
             "SR_LANE": lanes.copy(),
         }
-        #: optional observer with on_step(warp, info) and wants_values
+        #: optional observer with on_step(warp, info)
         self.observer = None
         self._last_segments: tuple = ()
 
@@ -333,11 +333,20 @@ class Warp:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> Optional[StepInfo]:
-        """Execute one instruction; None when the warp has finished."""
-        entry = self.current_entry()
+    def step(self, entry: Optional[StackEntry] = None
+             ) -> Optional[StepInfo]:
+        """Execute one instruction; None when the warp has finished.
+
+        ``entry`` is the runnable stack top as :meth:`current_entry` just
+        returned it (the timed SM passes the one its slot fetched, so the
+        stack is not walked twice); without it, the step fetches it.
+        Callers run steps under ``np.errstate(all="ignore")``: lane
+        arithmetic wraps and produces inf/NaN as the hardware does.
+        """
         if entry is None:
-            return None
+            entry = self.current_entry()
+            if entry is None:
+                return None
         pc = entry.pc
         self.pc = pc
         instruction = self.kernel.instructions[pc]
@@ -412,71 +421,64 @@ class Warp:
         """Execute a non-control instruction; returns memory transactions."""
         op = instruction.op
         srcs = instruction.sources
-        with np.errstate(all="ignore"):
-            if op in _INT_BINOPS:
-                a = self.read_u32(srcs[0], mask)
-                b = self.read_u32(srcs[1], mask)
-                self.write_result(instruction, _INT_BINOPS[op](a, b), mask,
-                                  False)
-            elif op == "NOT":
-                a = self.read_u32(srcs[0], mask)
-                self.write_result(instruction, ~a, mask, False)
-            elif op == "MOV":
-                if instruction.dest.kind is OperandKind.REGISTER64:
-                    self.write_result(instruction,
-                                      self.read_u64(srcs[0], mask), mask,
-                                      True)
-                else:
-                    self.write_result(instruction,
-                                      self.read_u32(srcs[0], mask).copy(),
-                                      mask, False)
-            elif op == "IMAD":
-                a = self.read_u32(srcs[0], mask).astype(np.uint64)
-                b = self.read_u32(srcs[1], mask).astype(np.uint64)
-                c = self.read_u32(srcs[2], mask).astype(np.uint64)
-                result = ((a * b + c) & np.uint64(0xFFFF_FFFF)).astype(
-                    np.uint32)
-                self.write_result(instruction, result, mask, False)
-            elif op in _FP32_OPS:
-                args = [self.read_f32(src, mask) for src in srcs]
-                result = _FP32_OPS[op](*args).astype(np.float32)
-                self.write_result(instruction, result.view(np.uint32), mask,
-                                  False)
-            elif op in _FP64_OPS:
-                args = [self.read_f64(src, mask) for src in srcs]
-                result = _FP64_OPS[op](*args).astype(np.float64)
-                self.write_result(instruction, result.view(np.uint64), mask,
-                                  True)
-            elif op == "I2F":
-                value = self.read_u32(srcs[0], mask).view(np.int32)
-                self.write_result(instruction,
-                                  value.astype(np.float32).view(np.uint32),
-                                  mask, False)
-            elif op == "F2I":
-                value = self.read_f32(srcs[0], mask)
-                clipped = np.clip(np.nan_to_num(value), -2**31, 2**31 - 1)
-                self.write_result(
-                    instruction,
-                    clipped.astype(np.int32).view(np.uint32), mask, False)
-            elif op in ("ISETP", "FSETP", "DSETP"):
-                self._exec_setp(instruction, mask)
-            elif op == "SEL":
-                a = self.read_u32(srcs[0], mask)
-                b = self.read_u32(srcs[1], mask)
-                chooser = self.preds[srcs[2].value]
-                self.write_result(instruction,
-                                  np.where(chooser, a, b).astype(np.uint32),
-                                  mask, False)
-            elif op == "S2R":
-                self.write_result(instruction,
-                                  self.special[srcs[0].name].copy(), mask,
-                                  False)
-            elif op == "SHFL":
-                self._exec_shfl(instruction, mask)
-            elif op in ("LDG", "LDS", "STG", "STS", "ATOM"):
-                return self._exec_memory(instruction, mask)
+        if op in _INT_BINOPS:
+            a = self.read_u32(srcs[0], mask)
+            b = self.read_u32(srcs[1], mask)
+            self.write_result(instruction, _INT_BINOPS[op](a, b), mask, False)
+        elif op == "NOT":
+            a = self.read_u32(srcs[0], mask)
+            self.write_result(instruction, ~a, mask, False)
+        elif op == "MOV":
+            if instruction.dest.kind is OperandKind.REGISTER64:
+                self.write_result(instruction, self.read_u64(srcs[0], mask),
+                                  mask, True)
             else:
-                raise SimulationError(f"unimplemented opcode {op}")
+                self.write_result(instruction,
+                                  self.read_u32(srcs[0], mask).copy(), mask,
+                                  False)
+        elif op == "IMAD":
+            a = self.read_u32(srcs[0], mask).astype(np.uint64)
+            b = self.read_u32(srcs[1], mask).astype(np.uint64)
+            c = self.read_u32(srcs[2], mask).astype(np.uint64)
+            result = ((a * b + c) & np.uint64(0xFFFF_FFFF)).astype(np.uint32)
+            self.write_result(instruction, result, mask, False)
+        elif op in _FP32_OPS:
+            args = [self.read_f32(src, mask) for src in srcs]
+            result = _FP32_OPS[op](*args).astype(np.float32)
+            self.write_result(instruction, result.view(np.uint32), mask, False)
+        elif op in _FP64_OPS:
+            args = [self.read_f64(src, mask) for src in srcs]
+            result = _FP64_OPS[op](*args).astype(np.float64)
+            self.write_result(instruction, result.view(np.uint64), mask, True)
+        elif op == "I2F":
+            value = self.read_u32(srcs[0], mask).view(np.int32)
+            self.write_result(instruction,
+                              value.astype(np.float32).view(np.uint32),
+                              mask, False)
+        elif op == "F2I":
+            value = self.read_f32(srcs[0], mask)
+            clipped = np.clip(np.nan_to_num(value), -2**31, 2**31 - 1)
+            self.write_result(instruction,
+                              clipped.astype(np.int32).view(np.uint32), mask,
+                              False)
+        elif op in ("ISETP", "FSETP", "DSETP"):
+            self._exec_setp(instruction, mask)
+        elif op == "SEL":
+            a = self.read_u32(srcs[0], mask)
+            b = self.read_u32(srcs[1], mask)
+            chooser = self.preds[srcs[2].value]
+            self.write_result(instruction,
+                              np.where(chooser, a, b).astype(np.uint32),
+                              mask, False)
+        elif op == "S2R":
+            self.write_result(instruction, self.special[srcs[0].name].copy(),
+                              mask, False)
+        elif op == "SHFL":
+            self._exec_shfl(instruction, mask)
+        elif op in ("LDG", "LDS", "STG", "STS", "ATOM"):
+            return self._exec_memory(instruction, mask)
+        else:
+            raise SimulationError(f"unimplemented opcode {op}")
         return 0
 
     def _exec_setp(self, instruction: Instruction, mask: np.ndarray) -> None:
@@ -702,25 +704,21 @@ def global_access_profile(addresses: np.ndarray, mask: np.ndarray,
 
     Returns ``(transactions, segments)``.  ``transactions`` is the
     number of distinct 128-byte segments touched, summed over the one
-    (narrow) or two (wide) 32-bit parts — wide accesses issue each part
-    as its own warp-wide transaction, matching
-    :meth:`MemorySpace.transactions` called per part.  ``segments`` is
-    the sorted tuple of all distinct segment indices (for the SM cache
-    model).  ``addresses`` must already be masked-safe (inactive lanes
-    zeroed); previously this took two ``np.unique`` passes per part.
+    (narrow) or two (wide) 32-bit parts: wide accesses issue each part
+    as its own warp-wide transaction.  ``segments`` is the sorted tuple
+    of all distinct segment indices (for the SM cache model).
+    ``addresses`` must already be masked-safe (inactive lanes zeroed).
+    At most 32 lanes are active, so Python sets count them faster than
+    ``np.unique`` would.
     """
-    if not mask.any():
-        return 0, ()
-    active = addresses[mask]
-    low = np.unique(active // 32)
+    active = addresses[mask].tolist()
+    segments = {address // SEGMENT_WORDS for address in active}
+    transactions = len(segments)
     if wide:
-        high = np.unique((active + 1) // 32)
-        transactions = int(low.size + high.size)
-        segments = np.union1d(low, high)
-    else:
-        transactions = int(low.size)
-        segments = low
-    return transactions, tuple(int(s) for s in segments)
+        high = {(address + 1) // SEGMENT_WORDS for address in active}
+        transactions += len(high)
+        segments |= high
+    return transactions, tuple(sorted(segments))
 
 
 def shared_bank_conflicts(addresses: np.ndarray, mask: np.ndarray,
@@ -731,19 +729,18 @@ def shared_bank_conflicts(addresses: np.ndarray, mask: np.ndarray,
     32-bit part counts *distinct* addresses per bank, maximized over
     the 32 banks; wide accesses sum their two parts.
     """
-    if not mask.any():
+    active = set(addresses[mask].tolist())
+    if not active:
         return 0
-    active = addresses[mask]
     conflicts = _max_addresses_per_bank(active)
     if wide:
-        conflicts += _max_addresses_per_bank(active + 1)
+        conflicts += _max_addresses_per_bank(
+            {address + 1 for address in active})
     return conflicts
 
 
-def _max_addresses_per_bank(active: np.ndarray) -> int:
-    unique_addresses = np.unique(active)
-    __, counts = np.unique(unique_addresses % 32, return_counts=True)
-    return int(counts.max())
+def _max_addresses_per_bank(addresses: Set[int]) -> int:
+    return max(Counter(address % 32 for address in addresses).values())
 
 
 def _shift_mask(values: np.ndarray) -> np.ndarray:

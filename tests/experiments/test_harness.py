@@ -95,34 +95,49 @@ class TestPowerHarness:
 
 
 #: sha256 of the sorted-keys JSON of every cell of
-#: ``run_matrix(<ALL_ORDER but matmul>, ("baseline", "swap-ecc",
-#: "interthread"), scale=0.05, seed=0)``: cycles, simulated seconds,
-#: verified and rejected flags, occupancy, mix counts and the power
-#: floats' reprs.  A change meant only to speed up the SM timing model
-#: must leave it bit-identical.
+#: ``run_matrix(<ALL_ORDER but matmul>, PINNED_SCHEMES, scale=0.05,
+#: seed=0)``: cycles, simulated seconds, verified and rejected flags,
+#: occupancy, mix counts and the power floats' reprs.  A change meant
+#: only to speed up the SM timing model must leave it bit-identical.
+PINNED_SCHEMES = ("baseline", "swap-ecc", "interthread")
 PINNED_TIMING_GRID = \
     "8a3f98be6f22fd80c0591ca77c76247ae4a98dd42b925be88823b6941089f1be"
+
+#: the same digest over the Fig 12/15/16 schemes ``PINNED_SCHEMES``
+#: leaves out
+REMAINING_SCHEMES = ("swdup", "pre-addsub", "pre-mad",
+                     "interthread-nocheck", "pre-fxp", "pre-fp-addsub",
+                     "pre-fp-mad")
+REMAINING_TIMING_GRID = \
+    "443d26693475b28c00750c7fd961e5349ae8d031b618d7768ccfa3c11c184405"
+
+
+def timing_grid_digest(schemes) -> str:
+    """sha256 of the raw timing cells of ``schemes`` at scale 0.05."""
+    workloads = tuple(name for name in ALL_ORDER if name != "matmul")
+    grid = run_matrix(workloads, schemes, scale=0.05, seed=0)
+    raw = {workload: {scheme: {
+        "cycles": run.cycles, "seconds": run.seconds,
+        "verified": run.verified, "rejected": run.rejected,
+        "warps_per_sm": run.warps_per_sm,
+        "registers_per_thread": run.registers_per_thread,
+        "mix": dataclasses.asdict(run.mix),
+        "power": [repr(run.power.seconds),
+                  repr(run.power.dynamic_joules),
+                  repr(run.power.static_watts)]}
+        for scheme, run in runs.items()}
+        for workload, runs in grid.items()}
+    payload = json.dumps(raw, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestPinnedTimingModel:
     def test_grid_matches_pinned_digest(self):
-        workloads = tuple(name for name in ALL_ORDER if name != "matmul")
-        grid = run_matrix(workloads, ("baseline", "swap-ecc", "interthread"),
-                          scale=0.05, seed=0)
-        raw = {workload: {scheme: {
-            "cycles": run.cycles, "seconds": run.seconds,
-            "verified": run.verified, "rejected": run.rejected,
-            "warps_per_sm": run.warps_per_sm,
-            "registers_per_thread": run.registers_per_thread,
-            "mix": dataclasses.asdict(run.mix),
-            "power": [repr(run.power.seconds),
-                      repr(run.power.dynamic_joules),
-                      repr(run.power.static_watts)]}
-            for scheme, run in runs.items()}
-            for workload, runs in grid.items()}
-        payload = json.dumps(raw, sort_keys=True)
-        assert hashlib.sha256(payload.encode()).hexdigest() == \
-            PINNED_TIMING_GRID
+        assert timing_grid_digest(PINNED_SCHEMES) == PINNED_TIMING_GRID
+
+    def test_remaining_schemes_match_pinned_digest(self):
+        assert timing_grid_digest(REMAINING_SCHEMES) == \
+            REMAINING_TIMING_GRID
 
 
 class TestStaticTables:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import (Device, LaunchConfig, MemorySpace, ResilienceState,
-                       TimingParams, assemble)
+                       TimingParams, assemble, run_functional)
 from repro.gpu.power import PowerModel
 
 
@@ -92,3 +92,28 @@ class TestDeviceLaunch:
         assert full.halted is None
         assert 0 < halted.cycles <= full.cycles
         assert halted.seconds > 0
+
+    def test_warp_exit_releases_a_waiting_barrier(self):
+        # Warp 0 waits at BAR; warp 1 never reaches it and exits, which
+        # must release warp 0 in the timed SM as in the functional model.
+        kernel = assemble("earlyexit", """
+            S2R R0, SR_TID
+            ISETP.LT P0, R0, 32
+            @P0 BRA wait, reconv=wait
+            LDG R2, [R0]
+            IADD R3, R2, 1
+            STG [R0], R3
+            EXIT
+        wait:
+            BAR
+            MOV R1, 9
+            STG [R0], R1
+            EXIT
+        """)
+        functional = MemorySpace(64)
+        timed = MemorySpace(64)
+        run_functional(kernel, LaunchConfig(1, 64), functional)
+        Device().launch(kernel, LaunchConfig(1, 64), timed)
+        assert (functional.read_words(0, 32) == 9).all()
+        assert (functional.read_words(32, 32) == 1).all()
+        assert np.array_equal(timed.words, functional.words)

@@ -76,22 +76,3 @@ class TestLaneAccess:
                           np.zeros(1, dtype=np.uint32),
                           np.ones(1, dtype=bool))
 
-
-class TestCoalescing:
-    def test_unit_stride_is_one_transaction(self):
-        addresses = np.arange(32, dtype=np.uint32)
-        assert MemorySpace.transactions(
-            addresses, np.ones(32, dtype=bool)) == 1
-
-    def test_wide_stride_fans_out(self):
-        addresses = (np.arange(32, dtype=np.uint32) * 32)
-        assert MemorySpace.transactions(
-            addresses, np.ones(32, dtype=bool)) == 32
-
-    def test_masked_lanes_do_not_count(self):
-        addresses = np.arange(32, dtype=np.uint32) * 32
-        mask = np.zeros(32, dtype=bool)
-        mask[0] = True
-        assert MemorySpace.transactions(addresses, mask) == 1
-        assert MemorySpace.transactions(
-            addresses, np.zeros(32, dtype=bool)) == 0
