@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.compiler import compile_for_scheme, resilience_mode
+from repro.compiler import CodeMixProfiler, compile_for_scheme, resilience_mode
 from repro.ecc import SecDedDpSwap
 from repro.errors import CompilationError, WorkloadError
-from repro.gpu import ResilienceState, run_functional
+from repro.gpu import Device, ResilienceState, run_functional
 from repro.workloads import (ALL_ORDER, MICRO_ORDER, RODINIA_ORDER,
                              WORKLOADS, get_workload)
 
 SMALL = 0.25
+
+#: the programs the inter-thread pass rejects, as in the paper
+INTERTHREAD_REJECTED = ("snap", "matmul")
 
 
 class TestRegistry:
@@ -77,12 +80,64 @@ class TestInterthreadApplicability:
                                           "interthread")
             assert compiled.thread_multiplier == 2
 
-    @pytest.mark.parametrize("name", ["snap", "matmul"])
+    @pytest.mark.parametrize("name", INTERTHREAD_REJECTED)
     def test_paper_failures_reproduce(self, name):
         instance = get_workload(name).build(scale=SMALL, seed=1)
         with pytest.raises(CompilationError):
             compile_for_scheme(instance.kernel, instance.launch,
                                "interthread")
+
+
+#: one scheme per compiler pass: the nocheck variants only drop the
+#: checking code, and the widest predictor tier predicts every kind the
+#: narrower tiers do
+PASS_SCHEMES = ("baseline", "swdup", "swap-ecc", "pre-fp-mad", "interthread")
+
+#: bfs lets a warp read a level that another warp writes in the same
+#: sweep, so how many of its STGs run depends on how the warps
+#: interleave; its result does not
+SCHEDULE_DEPENDENT = ("bfs",)
+
+
+def resilience_state(scheme):
+    mode = resilience_mode(scheme)
+    return ResilienceState(
+        mode=mode, scheme=SecDedDpSwap() if mode == "swap" else None)
+
+
+@pytest.mark.parametrize("name,scheme", [
+    (name, scheme) for name in ALL_ORDER for scheme in PASS_SCHEMES
+    if not (scheme == "interthread" and name in INTERTHREAD_REJECTED)])
+class TestTimedMatchesFunctional:
+    """The timed SM against the functional executor on the figure grid.
+
+    Every program of Figs 12-16 under each compiler pass, at the pinned
+    timing grids' scale: the timed launch must leave the functional run's
+    memory image and issue the instruction stream it executes.
+    """
+
+    def test_same_result_and_instruction_stream(self, name, scheme):
+        instance = get_workload(name).build(scale=0.05, seed=0)
+        compiled = compile_for_scheme(instance.kernel, instance.launch,
+                                      scheme)
+        launch = compiled.adjust_launch(instance.launch)
+        timed = instance.fresh_memory()
+        functional = instance.fresh_memory()
+        timed_mix = CodeMixProfiler()
+        functional_mix = CodeMixProfiler()
+        result = Device().launch(compiled.kernel, launch, timed,
+                                 resilience=resilience_state(scheme),
+                                 observer=timed_mix)
+        state = run_functional(compiled.kernel, launch, functional,
+                               resilience_state(scheme),
+                               observer=functional_mix)
+        assert np.array_equal(timed.words, functional.words)
+        assert instance.verify(timed)
+        assert not result.detected and not state.detected
+        assert result.halted is None
+        assert result.issued == timed_mix.counts.total
+        if name not in SCHEDULE_DEPENDENT:
+            assert timed_mix.counts == functional_mix.counts
 
 
 class TestWorkloadCharacter:
