@@ -3,15 +3,16 @@
 
 Compiles every workload with each resilience scheme, runs it with timing,
 verifies the outputs, and prints the paper's performance tables.  Every
-(workload, scheme) cell runs once; each figure reads its schemes from the
-one grid.
+(workload, scheme) cell runs once, on one of a pool of forked workers
+(one per CPU); each figure reads its schemes from the one grid.
 
 Usage::
 
     python examples/performance_study.py [scale]
 
 ``scale`` grows the problem sizes (default 0.5; the repo's full setting
-is 1.0 and takes a few minutes).
+is 1.0, which took 62-73 s on a 2-vCPU host and 112 s on one CPU under
+``taskset -c 0``).
 """
 
 import sys

@@ -14,13 +14,12 @@ produces a transformed kernel whose instructions carry two metadata keys:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.errors import CompilationError
-from repro.gpu.isa import (OPCODES, PT, RZ, DupClass, Instruction, Operand,
-                           OperandKind)
-from repro.gpu.program import Kernel, KernelWriter, LaunchConfig
+from repro.gpu.isa import RZ, DupClass, Instruction, Operand, OperandKind
+from repro.gpu.program import Kernel, LaunchConfig
 
 #: Figure 13 dynamic-instruction classes
 KLASSES = ("baseline", "duplicated", "predicted", "checking", "inserted")

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import (CodeMixProfiler, MixCounts, compile_for_scheme,
                             resilience_mode)
 from repro.ecc import SecDedDpSwap
-from repro.errors import CompilationError, InvalidArgument
+from repro.errors import CompilationError, InvalidArgument, SimulationError
 from repro.gpu import Device, ResilienceState
 from repro.gpu.power import PowerEstimate, PowerModel
 from repro.workloads import WorkloadInstance, get_workload
@@ -69,21 +73,121 @@ def run_scheme(instance: WorkloadInstance, scheme: str,
         power=power_model.estimate(result))
 
 
+#: one grid cell: (workload name, its built instance, scheme)
+_Cell = Tuple[str, WorkloadInstance, str]
+
+
 def run_matrix(workloads: Sequence[str], schemes: Sequence[str],
                scale: float = 1.0, seed: int = 0,
                device: Optional[Device] = None
                ) -> Dict[str, Dict[str, SchemeRun]]:
-    """The (workload x scheme) measurement grid behind Figures 12-16."""
+    """The (workload x scheme) measurement grid behind Figures 12-16.
+
+    Every workload is built first, in grid order; the cells then run on
+    every CPU this process may use (:func:`_run_cells`).
+    """
     if device is None:
         device = Device()
-    grid: Dict[str, Dict[str, SchemeRun]] = {}
+    cells: List[_Cell] = []
     for name in workloads:
         instance = get_workload(name).build(scale=scale, seed=seed)
-        grid[name] = {
-            scheme: run_scheme(instance, scheme, device)
-            for scheme in schemes
-        }
+        cells.extend((name, instance, scheme) for scheme in schemes)
+    grid: Dict[str, Dict[str, SchemeRun]] = {name: {} for name in workloads}
+    for (name, _, scheme), run in zip(cells, _run_cells(cells, device)):
+        grid[name][scheme] = run
     return grid
+
+
+def _run_cells(cells: Sequence[_Cell], device: Device) -> List[SchemeRun]:
+    """Run every cell with :func:`run_scheme`; the runs in cell order.
+
+    Cells share nothing, so they run on a pool of forked workers, one
+    per CPU this process may use.  Workers inherit the built instances
+    and ``device``; only cell indices and :class:`SchemeRun` records
+    cross their pipes.  The parent hands out indices in cell order as
+    workers become free.  The cells run in order in this process, with
+    nothing forked, when there is one CPU or one cell, or when another
+    thread is alive (forking a threaded process is unsafe).
+
+    A cell's exception is raised again here with its own type; a worker
+    that dies raises :class:`~repro.errors.SimulationError` naming its
+    cell.  Every worker is joined before this returns or raises.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(cells))
+    if workers < 2 or threading.active_count() > 1:
+        return [run_scheme(instance, scheme, device)
+                for _, instance, scheme in cells]
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    runs: List[Optional[SchemeRun]] = [None] * len(cells)
+    order = iter(range(len(cells)))
+    pool = []  # (worker, the parent's end of its pipe)
+    busy = {}  # parent's pipe end -> index of the cell its worker runs
+    try:
+        for _ in range(workers):
+            conn, worker_conn = context.Pipe()
+            ends = [end for _, end in pool] + [conn]
+            worker = context.Process(
+                target=_cell_worker, args=(worker_conn, ends, cells, device),
+                daemon=True)
+            worker.start()
+            worker_conn.close()
+            pool.append((worker, conn))
+            busy[conn] = next(order)
+            conn.send(busy[conn])
+        while busy:
+            for conn in wait(list(busy)):
+                index = busy.pop(conn)
+                try:
+                    ok, payload = conn.recv()
+                except (EOFError, OSError):
+                    name, _, scheme = cells[index]
+                    raise SimulationError(
+                        f"the worker running {name}/{scheme} died",
+                        context={"workload": name,
+                                 "scheme": scheme}) from None
+                if not ok:
+                    raise payload
+                runs[index] = payload
+                index = next(order, None)
+                if index is not None:
+                    busy[conn] = index
+                    conn.send(index)
+    finally:
+        # An idle worker exits on EOF; a busy one is stopped.
+        for worker, conn in pool:
+            conn.close()
+            if conn in busy:
+                worker.terminate()
+        for worker, _ in pool:
+            worker.join()
+    return runs
+
+
+def _cell_worker(conn, parent_ends, cells: Sequence[_Cell],
+                 device: Device) -> None:
+    """Pool worker: run each cell index received until the pipe closes.
+
+    ``parent_ends`` are the parent's ends of every pipe so far, this
+    worker's included; closing the fork's copies lets each worker see
+    EOF once the parent closes its end.  Ctrl-C reaches the parent,
+    which stops the pool.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            index = conn.recv()
+        except EOFError:
+            return
+        _, instance, scheme = cells[index]
+        try:
+            reply = (True, run_scheme(instance, scheme, device))
+        except Exception as exc:  # noqa: BLE001 — raised in the parent
+            reply = (False, exc)
+        conn.send(reply)
 
 
 def slowdown(run: SchemeRun, baseline: SchemeRun) -> float:

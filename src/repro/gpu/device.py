@@ -69,8 +69,8 @@ class Device:
             if not cta_indices:
                 continue
             sm = StreamingMultiprocessor(
-                sm_index, self.params, kernel, launch, global_memory,
-                state, observer, watchdog)
+                sm_index, self.params, kernel, launch, occupancy,
+                global_memory, state, observer, watchdog)
             try:
                 with np.errstate(all="ignore"):
                     sm_cycles = sm.run(cta_indices)

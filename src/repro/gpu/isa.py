@@ -17,7 +17,7 @@ Each opcode carries the metadata the rest of the stack needs:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AssemblyError

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro.errors import AssemblyError
-from repro.gpu.isa import Instruction, Operand, OperandKind, RZ
+from repro.gpu.isa import Instruction
 
 
 @dataclass

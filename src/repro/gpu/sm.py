@@ -46,7 +46,7 @@ from repro.gpu.isa import OperandKind, Pipe
 from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState
-from repro.gpu.timing import TimingParams
+from repro.gpu.timing import Occupancy, TimingParams
 from repro.gpu.warp import KernelHalt, StackEntry, Warp
 
 #: the timing model's pipes, in the order their int indices follow
@@ -175,18 +175,19 @@ class StreamingMultiprocessor:
     """Executes a queue of CTAs with cycle-approximate timing."""
 
     def __init__(self, sm_index: int, params: TimingParams, kernel: Kernel,
-                 launch: LaunchConfig, global_memory: MemorySpace,
-                 resilience: ResilienceState, observer=None, watchdog=None):
+                 launch: LaunchConfig, occupancy: Occupancy,
+                 global_memory: MemorySpace, resilience: ResilienceState,
+                 observer=None, watchdog=None):
         self.sm_index = sm_index
         self.params = params
         self.kernel = kernel
         self.launch = launch
+        self.occupancy = occupancy
         self.global_memory = global_memory
         self.resilience = resilience
         self.observer = observer
         self.watchdog = watchdog
         self.stats = SmStats()
-        self.register_count = max(kernel.register_count(), 1)
         self.l1 = L1Cache(params.l1_lines)
         self._records: List[_Decoded] = []
         #: CTAs whose last warp was found done, not yet retired
@@ -209,8 +210,8 @@ class StreamingMultiprocessor:
             threads_left -= count
             warp = Warp(self.kernel, cta_index, warp_index, count,
                         self.launch.threads_per_cta, self.launch.grid_ctas,
-                        self.register_count, self.global_memory, shared,
-                        self.resilience)
+                        self.occupancy.registers_per_thread,
+                        self.global_memory, shared, self.resilience)
             warp.observer = self.observer
             warps.append(warp)
         return _Cta(cta_index, warps)
@@ -218,7 +219,7 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     def run(self, cta_indices: List[int]) -> int:
         """Run the given CTAs to completion; returns total cycles."""
-        occupancy = self.params.occupancy(self.kernel, self.launch)
+        ctas_per_sm = self.occupancy.ctas_per_sm
         self._records = _decode(self.kernel)
         self._units = [[0] * self.params.pipe_units(pipe) for pipe in _PIPES]
         self._pipe_free = [0] * len(_PIPES)
@@ -233,7 +234,7 @@ class StreamingMultiprocessor:
         rr_pointer = 0
 
         def admit():
-            while pending and len(ctas) < occupancy.ctas_per_sm:
+            while pending and len(ctas) < ctas_per_sm:
                 cta = self._make_cta(pending.pop(0))
                 ctas.append(cta)
                 slots.extend(_Slot(warp, cta, cycle) for warp in cta.warps)

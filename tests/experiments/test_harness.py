@@ -3,9 +3,16 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import threading
+from contextlib import contextmanager
 
 import pytest
 
+from repro.errors import SimulationError
+from repro.experiments import common
 from repro.experiments import (TABLE_I, TABLE_II, figure11_schemes,
                                render_figure10, render_figure11,
                                render_figure14, render_mix_table,
@@ -138,6 +145,125 @@ class TestPinnedTimingModel:
     def test_remaining_schemes_match_pinned_digest(self):
         assert timing_grid_digest(REMAINING_SCHEMES) == \
             REMAINING_TIMING_GRID
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail the enclosed block with ``TimeoutError`` after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+POOL_WORKLOADS = ("gaussian", "btree")
+POOL_SCHEMES = ("baseline", "swap-ecc")
+
+
+def pool_grid():
+    with deadline(120):
+        return run_matrix(POOL_WORKLOADS, POOL_SCHEMES, scale=0.05)
+
+
+class TestCellPool:
+    """``run_matrix`` runs its cells on forked workers, one per CPU."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set how many CPUs ``run_matrix`` sees."""
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(count)))
+        return set_cpus
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per process this process forks."""
+        forked = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forked.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forked
+
+    def test_one_cpu_runs_in_process_and_matches_the_pool(self, cpus,
+                                                          forks):
+        cpus(2)
+        pooled = pool_grid()
+        assert len(forks) == 2
+        cpus(1)
+        forks.clear()
+        serial = pool_grid()
+        assert not forks
+        assert serial == pooled
+        assert [list(runs) for runs in serial.values()] == \
+            [list(POOL_SCHEMES)] * len(POOL_WORKLOADS)
+        assert list(serial) == list(pooled) == list(POOL_WORKLOADS)
+
+    def test_cell_error_is_raised_again_with_its_type(self, cpus, forks,
+                                                      monkeypatch):
+        cpus(2)
+        real = common.run_scheme
+
+        def failing(instance, scheme, device=None, power_model=None):
+            if (instance.name, scheme) == ("btree", "swap-ecc"):
+                raise SimulationError("btree/swap-ecc: injected",
+                                      context={"workload": "btree"})
+            return real(instance, scheme, device, power_model)
+
+        monkeypatch.setattr(common, "run_scheme", failing)
+        with pytest.raises(SimulationError) as caught:
+            pool_grid()
+        assert type(caught.value) is SimulationError
+        assert str(caught.value) == "btree/swap-ecc: injected"
+        assert caught.value.context == {"workload": "btree"}
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_naming_its_cell(self, cpus, forks,
+                                                monkeypatch):
+        cpus(2)
+        real = common.run_scheme
+        parent = os.getpid()
+
+        def dying(instance, scheme, device=None, power_model=None):
+            if (instance.name, scheme) == ("gaussian", "swap-ecc") and \
+                    os.getpid() != parent:
+                os._exit(3)
+            return real(instance, scheme, device, power_model)
+
+        monkeypatch.setattr(common, "run_scheme", dying)
+        with pytest.raises(SimulationError, match="gaussian/swap-ecc") \
+                as caught:
+            pool_grid()
+        assert caught.value.context == {"workload": "gaussian",
+                                        "scheme": "swap-ecc"}
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_second_thread_runs_in_process(self, cpus, forks):
+        cpus(2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(120,))
+        thread.start()
+        try:
+            grid = pool_grid()
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not forks
+        assert all(run.verified for runs in grid.values()
+                   for run in runs.values())
 
 
 class TestStaticTables:
