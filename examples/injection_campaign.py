@@ -13,11 +13,11 @@ any point and re-invoking the same command resumes where it stopped.
 ``--ci`` switches to batched sweeps with Wilson-interval early stopping.
 
 The campaign supervisor is on by default: Ctrl-C or SIGTERM drains the
-run gracefully (the in-flight batch finishes, a ``campaign_paused``
+run gracefully (the batches in flight finish, a ``campaign_paused``
 record lands in the journal, and resuming reaches counts identical to an
 uninterrupted run), and crash-looping units are quarantined after
 ``--quarantine`` consecutive failures instead of aborting anything.
-``--max-rss``/``--max-cpu``/``--heartbeat`` cap each worker subprocess;
+``--max-rss``/``--max-cpu`` cap each worker subprocess;
 ``--salvage`` resumes past a corrupted journal record by truncating at
 the first bad line.
 
@@ -35,14 +35,17 @@ Usage::
 
     python examples/injection_campaign.py [samples] [sites]
         [--journal PATH] [--ci HALF_WIDTH] [--batch N] [--timeout S]
-        [--max-rss MB] [--max-cpu S] [--heartbeat S] [--quarantine K]
+        [--max-rss MB] [--max-cpu S] [--quarantine K]
         [--salvage] [--no-supervisor]
         [--shards N] [--steal yes|no]
 
 On a shared 2-vCPU VM the defaults (600 samples, 200 sites) finish in
-about 3 s (21 s with the earlier fan-out-cone re-sweep), and EXPERIMENTS.md's
-setting ``2000 400`` in about 16 s (53 s before); the paper's 10,000-pair
-setting is ``python examples/injection_campaign.py 10000 None``.
+about 2 s, and EXPERIMENTS.md's setting ``2000 400`` in about 6 s, with
+the engine keeping one batch worker in flight per CPU.  Running one
+worker at a time, the same commands took 2.6-3.0 s and 9.3-9.4 s (21 s
+and 53 s with the earlier fan-out-cone re-sweep); the tables are
+byte-identical.  The paper's 10,000-pair setting is
+``python examples/injection_campaign.py 10000 None``.
 """
 
 import argparse
@@ -77,10 +80,6 @@ def parse_args():
                              "resource_exhausted)")
     parser.add_argument("--max-cpu", type=float, default=None, metavar="S",
                         help="CPU-seconds cap per worker subprocess")
-    parser.add_argument("--heartbeat", type=float, default=None,
-                        metavar="S",
-                        help="kill a worker silent for this many seconds "
-                             "(catches frozen/SIGSTOPped workers)")
     parser.add_argument("--quarantine", type=int, default=5, metavar="K",
                         help="dead-letter a unit after K consecutive "
                              "failed batch attempts (default 5)")
@@ -124,11 +123,9 @@ def main():
         supervisor = False
     else:
         budget = None
-        if args.max_rss is not None or args.max_cpu is not None or \
-                args.heartbeat is not None:
+        if args.max_rss is not None or args.max_cpu is not None:
             budget = ResourceBudget(max_rss_mb=args.max_rss,
-                                    max_cpu_s=args.max_cpu,
-                                    heartbeat_timeout_s=args.heartbeat)
+                                    max_cpu_s=args.max_cpu)
         supervisor = SupervisorConfig(budget=budget,
                                       quarantine_after=args.quarantine)
     if args.shards is not None:

@@ -1,20 +1,26 @@
 """Tests for the resilient campaign engine: isolation, retry, resume."""
 
+import dataclasses
 import json
+import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
 
 from repro.errors import InjectionError
 from repro.inject import (OUTCOMES, RECOVERY_CLASSES, CampaignEngine,
-                          EngineConfig, WorkUnit, gate_work_unit,
-                          gpu_recovery_work_unit, gpu_work_unit,
-                          merged_gate_results, recovery_coverage,
-                          register_unit_kind, run_full_campaign,
-                          run_unit_campaign, wilson_interval)
+                          CampaignSupervisor, EngineConfig, SupervisorConfig,
+                          WorkUnit, gate_work_unit, gpu_recovery_work_unit,
+                          gpu_work_unit, merged_gate_results,
+                          recovery_coverage, register_unit_kind,
+                          run_full_campaign, run_unit_campaign,
+                          wilson_interval)
+from repro.inject import engine as engine_module
 from repro.inject.engine import BatchSpec, make_scheme
-from repro.inject.journal import Journal
+from repro.inject.journal import Journal, JournalState
 
 
 def _tally_runner(params, context, batch):
@@ -55,12 +61,25 @@ def _flaky_runner(params, context, batch):
             "counts": {"due": batch.size}}
 
 
+def _drain_runner(params, context, batch):
+    """Sleeps ``context["delay"]``; with ``context["sigterm"]`` it first
+    sends SIGTERM to the engine, which a supervisor turns into a drain."""
+    context = context or {}
+    if context.get("sigterm"):
+        os.kill(os.getppid(), signal.SIGTERM)
+    time.sleep(context.get("delay", 0.0))
+    due = batch.index % 2
+    return {"trials": batch.size, "successes": due,
+            "counts": {"due": due, "masked": batch.size - due}}
+
+
 for _kind, _runner in (("tally", _tally_runner),
                        ("zero-rate", _zero_rate_runner),
                        ("raise", _raise_runner),
                        ("hard-exit", _hard_exit_runner),
                        ("hang", _hang_runner),
-                       ("flaky", _flaky_runner)):
+                       ("flaky", _flaky_runner),
+                       ("drain-probe", _drain_runner)):
     register_unit_kind(_kind, _runner, replace=True)
 
 
@@ -658,3 +677,278 @@ class TestSalvagedRecordsSurface:
             [WorkUnit("u", "tally", {})], journal)
         assert report.salvaged_records == 0
         assert report.salvage_events == []
+
+
+# ---------------------------------------------------------------------------
+# the scheduler: one batch worker in flight per CPU
+
+
+def _cpus(monkeypatch, count):
+    """Make the engine see ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _stamping(runner):
+    """``runner`` stamping each attempt, after a first-batch delay.
+
+    Batch 0 first sleeps ``context["delay"]``.  Every attempt, also one
+    that raises, writes ``[unit, batch, start, end]`` on the monotonic
+    clock (one clock for every process) to a file of its own under
+    ``context["stamps"]``.
+    """
+    def stamped(params, context, batch):
+        start = time.monotonic()
+        try:
+            if batch.index == 0:
+                time.sleep(context["delay"])
+            return runner(params, context, batch)
+        finally:
+            name = f"{os.getpid()}-{time.monotonic_ns()}.json"
+            with open(os.path.join(context["stamps"], name), "w") as handle:
+                json.dump([context["unit"], batch.index, start,
+                           time.monotonic()], handle)
+    return stamped
+
+
+def _stamp_runners(monkeypatch, *kinds):
+    for kind in kinds:
+        monkeypatch.setitem(engine_module._RUNNERS, kind,
+                            _stamping(engine_module._RUNNERS[kind]))
+
+
+def _with_stamps(units, stamps, delays=None):
+    """``units`` whose context names the stamp directory and a delay."""
+    stamps.mkdir(exist_ok=True)
+    return [dataclasses.replace(unit, context={
+        "stamps": str(stamps), "unit": unit.unit_id,
+        "delay": (delays or {}).get(unit.unit_id, 0.0)}) for unit in units]
+
+
+def _read_stamps(stamps):
+    found = []
+    for name in sorted(os.listdir(stamps)):
+        with open(os.path.join(stamps, name)) as handle:
+            found.append(json.load(handle))
+    return found
+
+
+def _overlapped(stamps) -> bool:
+    """Whether any two stamped attempts ran at the same time."""
+    runs = sorted((start, end) for _, _, start, end in _read_stamps(stamps))
+    return any(later[0] < earlier[1]
+               for earlier, later in zip(runs, runs[1:]))
+
+
+def _mixed_units():
+    """Gate and GPU units; saxpy runs all 3 batches, the rest stop early."""
+    return [gate_work_unit("fxp-add-32", site_count=12, seed=1,
+                           scheme="mod3"),
+            gpu_work_unit("saxpy", scale=0.25, seed=2),
+            gate_work_unit("fp-add-32", site_count=12, seed=3),
+            gpu_work_unit("gaussian", scale=0.25, seed=4)]
+
+
+def _mixed_config():
+    return EngineConfig(batch_size=24, max_batches=3, ci_half_width=0.1,
+                        min_trials=20, timeout_s=120.0)
+
+
+def _read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+@pytest.fixture(scope="module")
+def one_slot_mixed(tmp_path_factory):
+    """The mixed campaign's journal bytes and report on one CPU."""
+    journal = str(tmp_path_factory.mktemp("one-slot") / "journal.jsonl")
+    with pytest.MonkeyPatch.context() as patch:
+        _cpus(patch, 1)
+        report = CampaignEngine(_mixed_config()).run(_mixed_units(),
+                                                     journal)
+    return _read_bytes(journal), report
+
+
+class TestScheduler:
+    """``CampaignEngine`` keeps one batch worker in flight per CPU."""
+
+    def test_n_slots_journal_and_report_match_one_slot(
+            self, one_slot_mixed, tmp_path, monkeypatch):
+        one_journal, one_report = one_slot_mixed
+        _cpus(monkeypatch, 2)
+        _stamp_runners(monkeypatch, "gate", "gpu")
+        units = _mixed_units()
+        journal = str(tmp_path / "journal.jsonl")
+        report = CampaignEngine(_mixed_config()).run(
+            _with_stamps(units, tmp_path / "stamps",
+                         {unit.unit_id: 0.1 for unit in units}), journal)
+        assert _read_bytes(journal) == one_journal
+        assert report.units == one_report.units
+        assert list(report.units) == [unit.unit_id for unit in units]
+        assert report.units["saxpy/swap-ecc"].batches == 3
+        assert report.units["fp-add-32"].stopped_early
+        assert report.units["fp-add-32"].batches == 1
+        assert _overlapped(tmp_path / "stamps")
+        assert multiprocessing.active_children() == []
+
+    def test_units_finishing_last_first_journal_in_campaign_order(
+            self, one_slot_mixed, tmp_path, monkeypatch):
+        one_journal, one_report = one_slot_mixed
+        units = _mixed_units()
+        _cpus(monkeypatch, len(units))
+        _stamp_runners(monkeypatch, "gate", "gpu")
+        # each unit starts on its own CPU, and earlier units sleep longer
+        delays = {unit.unit_id: 0.4 * (len(units) - position)
+                  for position, unit in enumerate(units)}
+        journal = str(tmp_path / "journal.jsonl")
+        report = CampaignEngine(_mixed_config()).run(
+            _with_stamps(units, tmp_path / "stamps", delays), journal)
+        finished = {}
+        for unit, _, _, end in _read_stamps(tmp_path / "stamps"):
+            finished[unit] = max(finished.get(unit, 0.0), end)
+        assert sorted(finished, key=finished.get) == \
+            [unit.unit_id for unit in reversed(units)]
+        assert _read_bytes(journal) == one_journal
+        assert report.units == one_report.units
+        assert multiprocessing.active_children() == []
+
+    def test_failures_under_n_slots_match_one_slot(self, tmp_path,
+                                                   monkeypatch):
+        _stamp_runners(monkeypatch, "tally", "flaky")
+        # a 1-2 s backoff before each retry; the hang times out at 0.5 s
+        config = quick_config(timeout_s=0.5, backoff_s=2.0,
+                              backoff_max_s=2.0)
+
+        def campaign(cpus):
+            _cpus(monkeypatch, cpus)
+            root = tmp_path / f"cpus{cpus}"
+            root.mkdir()
+            units = [WorkUnit("h0", "tally", {}),
+                     WorkUnit("raise", "raise", {}),
+                     WorkUnit("h1", "tally", {"seed": 1}),
+                     WorkUnit("exit3", "hard-exit", {}),
+                     WorkUnit("hang", "hang", {}),
+                     WorkUnit("flaky", "flaky",
+                              {"flag": str(root / "flag")}),
+                     WorkUnit("h2", "tally", {"seed": 2}),
+                     WorkUnit("h3", "tally", {"seed": 3})]
+            report = CampaignEngine(config).run(
+                _with_stamps(units, root / "stamps"))
+            return report, _read_stamps(root / "stamps")
+
+        def outcomes(report):
+            return {unit_id: (unit.status, unit.counts, unit.retries)
+                    for unit_id, unit in report.units.items()}
+
+        one, _ = campaign(1)
+        many, stamps = campaign(2)
+        assert outcomes(many) == outcomes(one)
+        assert {unit_id: status for unit_id, (status, _, _)
+                in outcomes(many).items()} == {
+            "h0": "completed", "raise": "crashed", "h1": "completed",
+            "exit3": "crashed", "hang": "hung", "flaky": "completed",
+            "h2": "completed", "h3": "completed"}
+        assert many.units["flaky"].retries == 1
+        assert "exit code 3" in many.units["exit3"].detail
+        flaky = sorted((start, end) for unit, index, start, end in stamps
+                       if (unit, index) == ("flaky", 0))
+        failed_at, retried_at = flaky[0][1], flaky[1][0]
+        assert retried_at - failed_at >= 0.9
+        inside = [(unit, index) for unit, index, start, end in stamps
+                  if unit in ("h2", "h3")
+                  and failed_at < start and end < retried_at]
+        assert inside
+        assert multiprocessing.active_children() == []
+
+    def test_drain_with_records_held_resumes_to_uninterrupted_run(
+            self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 2)
+        config = quick_config(timeout_s=30.0)
+
+        def units(contexts):
+            return [WorkUnit(f"u{index}", "drain-probe", {"seed": index},
+                             context=contexts.get(index))
+                    for index in range(4)]
+
+        def batches(path):
+            return {unit: [{key: value for key, value in record.items()
+                            if key != "rix"} for record in records]
+                    for unit, records in JournalState.load(path)
+                    .batches.items()}
+
+        baseline_path = str(tmp_path / "baseline.jsonl")
+        baseline = CampaignEngine(config).run(units({}), baseline_path)
+        journal = str(tmp_path / "journal.jsonl")
+        supervisor = CampaignSupervisor(
+            SupervisorConfig(drain_deadline_s=20.0))
+        # u0's first batch outlasts u1's whole sweep, whose records are
+        # then held; u2's first batch drains the engine
+        interrupted = supervisor.run(
+            units({0: {"delay": 1.0}, 2: {"sigterm": True}}), journal,
+            config)
+        assert interrupted.paused
+        assert interrupted.drain_reason == "signal SIGTERM"
+        assert list(interrupted.units) == ["u0"]
+        assert interrupted.units["u0"].status == "paused"
+        assert interrupted.pending == ["u1", "u2", "u3"]
+        state = JournalState.load(journal)
+        assert [(pause["in_flight"], pause["pending"])
+                for pause in state.pauses] == [("u0", ["u1", "u2", "u3"])]
+        assert list(state.started) == ["u0"]
+        assert [record["index"] for record in state.batches["u0"]] == [0]
+
+        resumed = CampaignEngine(config).run(units({}), journal)
+        assert not resumed.paused
+        assert resumed.total_counts() == baseline.total_counts()
+        assert batches(journal) == batches(baseline_path)
+        assert multiprocessing.active_children() == []
+
+    def test_second_live_thread_runs_one_batch_at_a_time(self, tmp_path,
+                                                         monkeypatch):
+        _cpus(monkeypatch, 2)
+        _stamp_runners(monkeypatch, "tally")
+        units = [WorkUnit(f"t{index}", "tally", {"seed": index})
+                 for index in range(3)]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(30.0,))
+        thread.start()
+        try:
+            report = CampaignEngine(quick_config()).run(_with_stamps(
+                units, tmp_path / "stamps",
+                {unit.unit_id: 0.1 for unit in units}))
+        finally:
+            stop.set()
+            thread.join(10.0)
+        assert report.completed == ["t0", "t1", "t2"]
+        assert len(_read_stamps(tmp_path / "stamps")) == 6
+        assert not _overlapped(tmp_path / "stamps")
+        assert multiprocessing.active_children() == []
+
+    def test_parent_side_errors_leave_no_child(self, tmp_path,
+                                               monkeypatch):
+        _cpus(monkeypatch, 2)
+        _stamp_runners(monkeypatch, "tally")
+        # b's first batch is still running when the engine raises
+        units = _with_stamps(
+            [WorkUnit("a", "tally", {}), WorkUnit("b", "tally", {"seed": 1})],
+            tmp_path / "stamps", {"b": 30.0})
+        started = time.monotonic()
+        with pytest.raises(InjectionError, match="unknown unit kind"):
+            CampaignEngine(quick_config()).run(
+                units + [WorkUnit("c", "no-such-kind", {})])
+        assert multiprocessing.active_children() == []
+
+        real_append = Journal.append
+
+        def interrupted_append(journal, record):
+            if record["type"] == "batch":
+                raise KeyboardInterrupt
+            real_append(journal, record)
+
+        monkeypatch.setattr(Journal, "append", interrupted_append)
+        with pytest.raises(KeyboardInterrupt):
+            CampaignEngine(quick_config()).run(
+                units, str(tmp_path / "journal.jsonl"))
+        assert time.monotonic() - started < 20.0
+        assert multiprocessing.active_children() == []

@@ -46,11 +46,6 @@ def _cpu_spin_runner(params, context, batch):
         pass
 
 
-def _freeze_runner(params, context, batch):
-    os.kill(os.getpid(), signal.SIGSTOP)  # heartbeats stop with the process
-    return {"trials": batch.size, "successes": 0, "counts": {}}
-
-
 def _third_try_runner(params, context, batch):
     """Fails twice (tracked by flag files), then succeeds."""
     root = params["dir"]
@@ -66,7 +61,6 @@ for _kind, _runner in (("sup-ok", _ok_runner), ("sup-slow", _slow_runner),
                        ("sup-poison", _poison_runner),
                        ("sup-hog", _memory_hog_runner),
                        ("sup-spin", _cpu_spin_runner),
-                       ("sup-freeze", _freeze_runner),
                        ("sup-third-try", _third_try_runner)):
     register_unit_kind(_kind, _runner, replace=True)
 
@@ -90,10 +84,7 @@ class TestConfigValidation:
                 SupervisorConfig(**overrides)
 
     def test_bad_budget_knobs_rejected(self):
-        for overrides in ({"max_rss_mb": 0}, {"max_cpu_s": -1.0},
-                          {"heartbeat_interval_s": 0.0},
-                          {"heartbeat_timeout_s": 0.01,
-                           "heartbeat_interval_s": 0.05}):
+        for overrides in ({"max_rss_mb": 0}, {"max_cpu_s": -1.0}):
             with pytest.raises(InjectionError):
                 ResourceBudget(**overrides)
 
@@ -147,18 +138,9 @@ class TestResourceGovernance:
         assert result.counts["resource_exhausted"] == 1
         assert "CPU budget" in result.detail or "SIGXCPU" in result.detail
 
-    def test_stopped_heartbeat_binned_resource_exhausted(self):
-        sup = supervisor(budget=ResourceBudget(heartbeat_timeout_s=0.5),
-                         quarantine_after=None)
-        report = sup.run([WorkUnit("frozen", "sup-freeze", {})], None,
-                         quick_config(max_retries=0, timeout_s=60.0))
-        result = report.units["frozen"]
-        assert result.status == "resource_exhausted"
-        assert "heartbeat" in result.detail
-
     def test_healthy_worker_unaffected_by_budget(self):
         sup = supervisor(budget=ResourceBudget(
-            max_rss_mb=16384, max_cpu_s=120, heartbeat_timeout_s=10.0))
+            max_rss_mb=16384, max_cpu_s=120))
         report = sup.run([WorkUnit("fine", "sup-ok", {})], None,
                          quick_config())
         assert report.units["fine"].status == "completed"
