@@ -55,10 +55,11 @@ def _stages(netlist: Netlist) -> int:
     # Builders stage whole buses; count stage boundaries by scanning for
     # maximal runs of DFF nodes.
     from repro.gates.netlist import Op
+    dff = Op.DFF
     boundaries = 0
     in_run = False
     for node in netlist.nodes:
-        if node.op is Op.DFF:
+        if node.op is dff:
             if not in_run:
                 boundaries += 1
                 in_run = True
@@ -71,19 +72,17 @@ def table_iv_rows() -> List[AreaRow]:
     """Build every Table IV unit and compute its area accounting."""
     rows: List[AreaRow] = []
 
-    def add_row(section, unit, bits, netlist, baseline=None,
-                baseline_name=None):
-        overhead = None
-        if baseline is not None:
-            overhead = netlist.area() / baseline.area()
+    def add_row(section, unit, bits, netlist, baseline=None):
+        # baseline: the row of the unit the overhead is relative to
+        area = netlist.area()
         rows.append(AreaRow(
             section=section, unit=unit, bits=bits,
             pipe_stages=_stages(netlist),
             flip_flops=netlist.flip_flop_count(),
-            area=netlist.area(),
-            overhead_vs=baseline_name,
-            overhead=overhead))
-        return netlist
+            area=area,
+            overhead_vs=None if baseline is None else baseline.unit,
+            overhead=None if baseline is None else area / baseline.area))
+        return rows[-1]
 
     # --- original datapath ------------------------------------------------
     add32 = add_row("original", "Add", "32", build_add_unit(32))
@@ -97,23 +96,23 @@ def table_iv_rows() -> List[AreaRow]:
 
     # --- Swap-ECC modifications (relative to the SEC-DED decoder) ---------
     add_row("swap-ecc", "Move-Propagate", "7", build_move_propagate(7),
-            baseline=decoder, baseline_name="SECDED Dec.")
+            baseline=decoder)
     add_row("swap-ecc", "SEC-(DED)-DP", "2", build_dp_reporting(32),
-            baseline=decoder, baseline_name="SECDED Dec.")
+            baseline=decoder)
 
     # --- Swap-Predict prediction circuitry --------------------------------
     add_row("swap-predict", "Add", "2", build_add_predictor(3),
-            baseline=add32, baseline_name="Add")
+            baseline=add32)
     add_row("swap-predict", "Add", "7", build_add_predictor(127),
-            baseline=add32, baseline_name="Add")
+            baseline=add32)
     add_row("swap-predict", "MAD", "2", build_mad_predictor(3),
-            baseline=mad32, baseline_name="MAD")
+            baseline=mad32)
     add_row("swap-predict", "MAD", "7", build_mad_predictor(127),
-            baseline=mad32, baseline_name="MAD")
+            baseline=mad32)
     add_row("swap-predict", "Mod-3 Enc.", "2", build_recode_encoder(3),
-            baseline=enc3, baseline_name="Mod-3 Enc.")
+            baseline=enc3)
     add_row("swap-predict", "Mod-127 Enc.", "7", build_recode_encoder(127),
-            baseline=enc127, baseline_name="Mod-127 Enc.")
+            baseline=enc127)
     return rows
 
 

@@ -69,9 +69,15 @@ GATE_AREA = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class Node:
-    """One gate, register, input, or constant."""
+    """One gate, register, input, or constant.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which cost more than all the rest of
+    building a netlist.  A node is never changed once added (netlists
+    are append-only).
+    """
 
     op: Op
     inputs: Tuple[int, ...]
@@ -93,13 +99,15 @@ class Netlist:
     # construction
     # ------------------------------------------------------------------
     def _add(self, op: Op, inputs: Tuple[int, ...] = (), name: str = "") -> int:
+        nodes = self.nodes
+        count = len(nodes)
         for node_id in inputs:
-            if not 0 <= node_id < len(self.nodes):
+            if not 0 <= node_id < count:
                 raise NetlistError(
                     f"node input {node_id} does not exist yet (netlists are "
                     f"built in topological order)")
-        self.nodes.append(Node(op, inputs, name))
-        return len(self.nodes) - 1
+        nodes.append(Node(op, inputs, name))
+        return count
 
     def const(self, bit: int) -> int:
         """A constant-0 or constant-1 net (cached)."""
@@ -193,7 +201,8 @@ class Netlist:
         return sum(1 for node in self.nodes if node.op not in skip)
 
     def flip_flop_count(self) -> int:
-        return sum(1 for node in self.nodes if node.op is Op.DFF)
+        dff = Op.DFF  # an enum member lookup is a Python call; once here
+        return sum(1 for node in self.nodes if node.op is dff)
 
     def area(self) -> float:
         """Total area in NAND2 gate-equivalents."""

@@ -288,6 +288,10 @@ def _holder_main(holder: str, shard: str, token: int,
                         "shard": shard, "token": token,
                         "pid": os.getpid()})
         journal.close()
+        # Started before the engine runs, this thread also sets the
+        # holder's slot count: with a second live thread the engine
+        # keeps one batch worker in flight (CampaignEngine._slots),
+        # while the holders spread the shards over the CPUs.
         threading.Thread(target=_watch_control,
                          args=(control, supervisor),
                          name=f"{holder}-control", daemon=True).start()

@@ -11,13 +11,14 @@ import time
 import pytest
 
 from repro.errors import FabricConfigError, FabricError
+from repro.inject import engine as engine_module
 from repro.inject.engine import EngineConfig, WorkUnit
 from repro.inject.fabric import (CampaignFabric, FabricConfig,
                                  run_fabric_campaign)
 from repro.inject.merge import fabric_journal_paths
 
 from tests.inject.fabric_driver import (granted_holders, toy_config,
-                                        toy_units)
+                                        toy_runner, toy_units)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -69,6 +70,22 @@ def _run_in_thread(fabric):
     thread = threading.Thread(target=target, daemon=True)
     thread.start()
     return thread, result
+
+
+def _stamped_toy_runner(params, context, batch):
+    """``toy_runner`` after a 50 ms sleep, stamping its holder and times.
+
+    Each batch writes ``[holder pid, start, end]`` (the batch worker's
+    parent is the holder; one monotonic clock serves every process) to
+    a file of its own under ``params["stamps"]``.
+    """
+    start = time.monotonic()
+    time.sleep(0.05)
+    result = toy_runner(params, context, batch)
+    name = f"{os.getpid()}-{time.monotonic_ns()}.json"
+    with open(os.path.join(params["stamps"], name), "w") as handle:
+        json.dump([os.getppid(), start, time.monotonic()], handle)
+    return result
 
 
 def _leased_holder_process(fabric, deadline_s=30.0):
@@ -200,6 +217,33 @@ class TestFabricBasics:
         assert report.shard_status == {"shard-000": "completed"}
         with open(record, "rb") as handle:
             assert pickle.load(handle) == config.shard_engine_config()
+
+    def test_each_holder_runs_one_batch_at_a_time(self, tmp_path,
+                                                  monkeypatch):
+        # a holder's control-watcher thread keeps its engine at one
+        # slot, though the engine sees two CPUs (forks inherit both
+        # patches)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(engine_module._RUNNERS, "fabric-stamp",
+                            _stamped_toy_runner)
+        stamps = tmp_path / "stamps"
+        stamps.mkdir()
+        units = [WorkUnit(f"u{index}", "fabric-stamp",
+                          {"seed": index, "stamps": str(stamps)})
+                 for index in range(4)]
+        report = run_fabric_campaign(units, str(tmp_path / "fab"),
+                                     toy_config(shards=2, max_batches=3))
+        assert set(report.shard_status.values()) == {"completed"}
+        runs = {}
+        for name in os.listdir(stamps):
+            with open(stamps / name) as handle:
+                holder, start, end = json.load(handle)
+            runs.setdefault(holder, []).append((start, end))
+        assert sorted(len(spans) for spans in runs.values()) == [6, 6]
+        for spans in runs.values():
+            spans.sort()
+            assert all(earlier[1] <= later[0]
+                       for earlier, later in zip(spans, spans[1:]))
 
 
 class TestChaos:
