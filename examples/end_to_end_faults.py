@@ -25,7 +25,7 @@ guarantee that no single-bit pipeline error escapes.
 Usage::
 
     python examples/end_to_end_faults.py [workload] [trials]
-        [--journal PATH] [--recover]
+        [--journal PATH]
 """
 
 import argparse
@@ -45,14 +45,11 @@ def main():
     parser.add_argument("trials", nargs="?", type=int, default=40)
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="JSONL checkpoint journal for resume")
-    parser.add_argument("--recover", action="store_true",
-                        help="re-execute detected faults from the "
-                             "checkpoint image to confirm containment")
     args = parser.parse_args()
 
     units = [
         gpu_work_unit(args.workload, scheme, scale=0.25, build_seed=1,
-                      seed=index, recovery_attempts=3 if args.recover else 0)
+                      seed=index)
         for index, scheme in enumerate(SCHEMES)
     ]
     config = EngineConfig(batch_size=args.trials, max_batches=1,
@@ -80,10 +77,6 @@ def main():
               f"{counts['crash']:6d} {counts['sdc']:5d} "
               f"{counts['masked']:7d} {counts['not_hit']:8d} "
               f"{counts['hang']:5d} {label:>28s}")
-    if args.recover:
-        recovered = sum(report.units[u.unit_id].counts["recovered"]
-                        for u in units)
-        print(f"\nrecovered-from-checkpoint confirmations: {recovered}")
     print("\nexpectation: the unprotected baseline shows SDCs; the "
           "SwapCodes variants (swap-ecc, pre-mad) detect, correct or mask "
           "every single-bit pipeline error. SW-Dup can let SDCs through: "

@@ -60,8 +60,6 @@ CONTEXT_FIELD_TYPES: Dict[str, type] = {
     "seed": int,       # RNG seed of the failing batch/trial
     "batch": int,      # batch index within the unit
     "trial": int,      # trial index within the batch
-    "cta": int,        # CTA index within the launch
-    "address": int,    # memory address (containment forensics)
     "rix": int,        # journal record index
     "scheme": str,     # protection-scheme name
     "workload": str,   # workload id
@@ -381,21 +379,6 @@ class ResourceExhausted(ReproError):
     code = "inject.resource_exhausted"
     severity = "transient"
     recoverable = True
-
-
-class ContainmentViolation(ReproError):
-    """A detected error leaked to memory before the halt.
-
-    SwapCodes' central claim is strict read-time containment: every
-    corrupted value is flagged at the register read port before it can
-    reach a store.  The containment auditor raises this when a
-    post-detection memory image diverges from the fault-free execution of
-    the same prefix — making the claim machine-checked under injection.
-    """
-
-    code = "gpu.containment_violation"
-    severity = "fatal"
-    recoverable = False
 
 
 class CompilationError(ReproError):

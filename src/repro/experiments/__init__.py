@@ -6,8 +6,6 @@
   (slowdowns, instruction mix, inter-thread comparison, future predictors).
 * Figure 14 — :mod:`repro.experiments.fig14_power`.
 * Tables I-IV — :mod:`repro.experiments.tables`.
-* Recovery coverage (Section VI's re-execution story) —
-  :mod:`repro.experiments.recovery_coverage`.
 * MBU degradation (detection coverage vs strike multiplicity) —
   :mod:`repro.experiments.mbu_degradation`.
 """
@@ -28,11 +26,6 @@ from repro.experiments.mbu_degradation import (MBU_MATRIX,
                                                render_mbu_degradation,
                                                run_mbu_degradation_study,
                                                write_mbu_artifact)
-from repro.experiments.recovery_coverage import (RECOVERY_MATRIX,
-                                                 RecoveryCoverageStudy,
-                                                 render_recovery_coverage,
-                                                 run_recovery_coverage_study,
-                                                 write_recovery_artifact)
 from repro.experiments.figures_perf import (FIG12_SCHEMES, FIG15_SCHEMES,
                                             FIG16_SCHEMES, PerformanceStudy,
                                             render_mix_table,
@@ -49,8 +42,6 @@ __all__ = [
     "render_figure10", "render_figure11", "run_injection_study",
     "MBU_MATRIX", "MbuDegradationStudy", "render_mbu_degradation",
     "run_mbu_degradation_study", "write_mbu_artifact",
-    "RECOVERY_MATRIX", "RecoveryCoverageStudy", "render_recovery_coverage",
-    "run_recovery_coverage_study", "write_recovery_artifact",
     "FIG12_SCHEMES", "FIG15_SCHEMES", "FIG16_SCHEMES", "PerformanceStudy",
     "render_mix_table", "render_slowdown_table", "run_performance_study",
     "TABLE_I", "TABLE_II", "format_table_iv", "table_iii", "table_iv_rows",

@@ -25,9 +25,6 @@ from repro.gpu.asm import assemble, parse_instruction
 from repro.gpu.device import (Device, LaunchResult, run_functional,
                               run_functional_cta)
 from repro.gpu.power import PowerEstimate, PowerModel
-from repro.gpu.recovery import (LADDER_OUTCOMES, ContainmentAuditor,
-                                LadderConfig, LadderReport, RecoveryResult,
-                                run_with_ladder, run_with_recovery)
 from repro.gpu.isa import (OPCODES, PT, RZ, WARP_SIZE, DupClass, Instruction,
                            Operand, OperandKind, OpSpec, Pipe)
 from repro.gpu.memory import MemorySpace
@@ -43,8 +40,6 @@ __all__ = [
     "assemble", "parse_instruction",
     "Device", "LaunchResult", "run_functional", "run_functional_cta",
     "PowerEstimate", "PowerModel",
-    "LADDER_OUTCOMES", "ContainmentAuditor", "LadderConfig", "LadderReport",
-    "RecoveryResult", "run_with_ladder", "run_with_recovery",
     "Watchdog", "WatchdogConfig",
     "OPCODES", "PT", "RZ", "WARP_SIZE", "DupClass", "Instruction", "Operand",
     "OperandKind", "OpSpec", "Pipe",

@@ -99,22 +99,15 @@ def run_functional_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
                        resilience: Optional[ResilienceState] = None,
                        observer=None,
                        watchdog: Optional[Watchdog] = None,
-                       register_count: Optional[int] = None,
-                       step_limit: Optional[int] = None) -> int:
+                       register_count: Optional[int] = None) -> int:
     """Run one CTA functionally to completion; returns steps executed.
 
-    The building block under :func:`run_functional` and the recovery
-    ladder's rung-1 CTA replay: register state is fresh (architectural
-    checkpoint at CTA launch) and shared memory is pristine, so replaying
-    a CTA only needs the pre-CTA global-memory image.  Warps round-robin
-    so barriers and shared memory behave.
+    The building block under :func:`run_functional`: register state
+    starts fresh and shared memory pristine, and warps round-robin so
+    barriers and shared memory behave.
 
     Detections (:class:`~repro.gpu.warp.KernelHalt`) and watchdog
     verdicts (:class:`~repro.errors.HangError`) propagate to the caller.
-    ``step_limit`` stops cleanly after that many steps — the containment
-    auditor uses it to replay exactly the executed prefix of a detected
-    run.  Scheduling is deterministic, which is what makes that replay
-    comparable word for word.
     """
     from repro.errors import SimulationError
 
@@ -147,8 +140,6 @@ def run_functional_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
                 continue
             # Run this warp until it blocks or finishes.
             while not warp.done and not warp.at_barrier:
-                if step_limit is not None and steps >= step_limit:
-                    return steps
                 if warp.step() is None:
                     break
                 progressed = True

@@ -18,9 +18,7 @@ exhausted:
 * ``deadline_s`` — a wall-clock deadline, checked every
   ``deadline_check_interval`` steps to keep the hot path cheap.
 
-One watchdog instance spans one kernel attempt: the recovery ladder makes
-a fresh one per kernel replay and clears a CTA's per-warp counters with
-:meth:`Watchdog.clear_cta` before replaying that CTA.
+One watchdog instance spans one kernel launch.
 """
 
 from __future__ import annotations
@@ -34,13 +32,13 @@ from repro.errors import HangError, SimulationError
 
 @dataclass(frozen=True)
 class WatchdogConfig:
-    """Budgets for one kernel attempt (None disables a budget)."""
+    """Budgets for one kernel launch (None disables a budget)."""
 
     #: total functional steps across every warp of the launch
     max_steps: Optional[int] = 50_000_000
     #: per-warp instruction budget (catches one spinning warp early)
     max_warp_steps: Optional[int] = None
-    #: wall-clock deadline per attempt, in seconds
+    #: wall-clock deadline per launch, in seconds
     deadline_s: Optional[float] = None
     #: steps between wall-clock checks (amortizes the clock read)
     deadline_check_interval: int = 4096
@@ -62,7 +60,7 @@ class WatchdogConfig:
 
 
 class Watchdog:
-    """Step/deadline bookkeeping for one kernel attempt."""
+    """Step/deadline bookkeeping for one kernel launch."""
 
     def __init__(self, config: Optional[WatchdogConfig] = None,
                  name: str = "kernel",
@@ -79,11 +77,6 @@ class Watchdog:
         """Arm the wall-clock deadline (idempotent)."""
         if self._started is None:
             self._started = self._clock()
-
-    def clear_cta(self, cta_index: int) -> None:
-        """Reset per-warp budgets of one CTA (before a CTA replay)."""
-        for key in [key for key in self.warp_steps if key[0] == cta_index]:
-            del self.warp_steps[key]
 
     def tick(self, cta_index: int, warp_index: int, count: int = 1) -> None:
         """Account ``count`` executed steps of one warp; raise on a hang."""

@@ -2,10 +2,9 @@
 
 from repro.inject.campaign import (UNIT_ORDER, build_unit, run_full_campaign,
                                    run_unit_campaign, unit_inputs)
-from repro.inject.classify import (DETECTION_CLASSES, RECOVERY_CLASSES,
-                                   Estimate, detection_coverage,
-                                   detection_outcomes, record_is_detected,
-                                   recovery_coverage, sdc_risk,
+from repro.inject.classify import (DETECTION_CLASSES, Estimate,
+                                   detection_coverage, detection_outcomes,
+                                   record_is_detected, sdc_risk,
                                    sdc_risk_sweep, severity_distribution,
                                    split_into_registers)
 from repro.inject.hamartia import (SEVERITY_CLASSES, CampaignResult,
@@ -16,8 +15,8 @@ from repro.inject.operands import (OPERAND_KINDS, OperandTrace,
 from repro.inject.engine import (OUTCOMES, CampaignEngine, CampaignReport,
                                  EngineConfig, UnitReport, WilsonEstimate,
                                  WorkUnit, certify_work_unit, gate_work_unit,
-                                 gpu_recovery_work_unit, gpu_work_unit,
-                                 make_scheme, mbu_sweep_work_unit,
+                                 gpu_work_unit, make_scheme,
+                                 mbu_sweep_work_unit,
                                  merged_gate_results, register_unit_kind,
                                  wilson_interval)
 from repro.inject.fabric import (CampaignFabric, FabricConfig, FabricReport,
@@ -34,17 +33,16 @@ from repro.inject.supervisor import (CampaignSupervisor, ResourceBudget,
 __all__ = [
     "UNIT_ORDER", "build_unit", "run_full_campaign", "run_unit_campaign",
     "unit_inputs",
-    "DETECTION_CLASSES", "RECOVERY_CLASSES", "Estimate",
-    "detection_coverage", "detection_outcomes",
-    "record_is_detected", "recovery_coverage", "sdc_risk",
+    "DETECTION_CLASSES", "Estimate", "detection_coverage",
+    "detection_outcomes", "record_is_detected", "sdc_risk",
     "sdc_risk_sweep", "severity_distribution", "split_into_registers",
     "SEVERITY_CLASSES", "CampaignResult", "FaultInjector", "InjectionRecord",
     "classify_severity", "merge_results",
     "OPERAND_KINDS", "OperandTrace", "synthetic_operands",
     "OUTCOMES", "CampaignEngine", "CampaignReport", "EngineConfig",
     "UnitReport", "WilsonEstimate", "WorkUnit", "certify_work_unit",
-    "gate_work_unit", "gpu_recovery_work_unit", "gpu_work_unit",
-    "make_scheme", "mbu_sweep_work_unit", "merged_gate_results",
+    "gate_work_unit", "gpu_work_unit", "make_scheme",
+    "mbu_sweep_work_unit", "merged_gate_results",
     "register_unit_kind", "wilson_interval",
     "CampaignFabric", "FabricConfig", "FabricReport", "partition_units",
     "replicate_units", "run_fabric_campaign",

@@ -186,26 +186,3 @@ def detection_coverage(counts: Dict[str, int]) -> Dict[str, float]:
     return {"detected": detected / visible, "masked": masked / visible,
             "sdc": sdc / visible}
 
-
-#: the mutually exclusive bins a gpu-recovery unit tallies visible faults
-#: into, in recovery-ladder escalation order (sdc = recovery *failed
-#: silently*, due/hang = ladder exhausted loudly)
-RECOVERY_CLASSES = ("masked", "corrected_in_place", "cta_replayed",
-                    "kernel_replayed", "due", "hang", "sdc")
-
-
-def recovery_coverage(counts: Dict[str, int]) -> Dict[str, float]:
-    """Per-rung recovery coverage from a gpu-recovery unit's tallies.
-
-    Returns each :data:`RECOVERY_CLASSES` bin as a fraction of the
-    architecturally *visible* trials (``not_hit`` excluded) — the
-    breakdown behind the per-scheme recovery-coverage comparison: a
-    correcting scheme lands its storage errors in ``corrected_in_place``
-    with zero replays, while detect-only schemes push the same faults up
-    the replay rungs.
-    """
-    visible = sum(counts.get(name, 0) for name in RECOVERY_CLASSES)
-    if visible == 0:
-        return {name: 0.0 for name in RECOVERY_CLASSES}
-    return {name: counts.get(name, 0) / visible
-            for name in RECOVERY_CLASSES}

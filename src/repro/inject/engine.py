@@ -46,8 +46,8 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
 
 import multiprocessing
 
-from repro.errors import (ContainmentViolation, HangError, InjectionError,
-                          ReproError, ResourceExhausted, SimulationError)
+from repro.errors import (HangError, InjectionError, ReproError,
+                          ResourceExhausted, SimulationError)
 from repro.inject.campaign import run_unit_campaign
 from repro.inject.classify import detection_outcomes
 from repro.inject.hamartia import CampaignResult, merge_results
@@ -59,8 +59,10 @@ from repro.inject.journal import Journal, JournalState, NullJournal
 OUTCOMES = ("masked", "sdc", "due", "trap", "hang", "crash",
             "resource_exhausted")
 
-#: extra (non-terminal) outcome keys runners may report; the last three
-#: are the recovery ladder's rungs (gpu-recovery units)
+#: extra (non-terminal) outcome keys runners may report.  No runner sets
+#: ``recovered``, ``cta_replayed`` or ``kernel_replayed``; they stay, at
+#: zero, because the pinned campaign digests hash every key of a unit's
+#: counts
 EXTRA_OUTCOMES = ("not_hit", "recovered", "corrected_in_place",
                   "cta_replayed", "kernel_replayed")
 
@@ -496,15 +498,11 @@ def _state_factory(mode: str, code: str):
 
 
 def _run_trials_scalar(instance, kernel, launch, plans, fresh_state,
-                       max_steps: int,
-                       confirm: Optional[Callable[[Any], bool]] = None
-                       ) -> Dict[str, Any]:
+                       max_steps: int) -> Dict[str, Any]:
     """Run a plan list one scalar oracle trial at a time.
 
     Every trial bins through :func:`_tally_gpu_outcome`, like the
-    tensor path.  ``confirm(plan)`` (recovery confirmation) runs for
-    each detection that returned a state and tallies ``recovered``
-    when it holds.
+    tensor path.
     """
     counts = _empty_counts()
     trials = 0
@@ -517,9 +515,6 @@ def _run_trials_scalar(instance, kernel, launch, plans, fresh_state,
             counts, state, outcome, lambda: instance.verify(memory))
         trials += t_inc
         successes += s_inc
-        if confirm is not None and outcome == "ok" and state.detected \
-                and confirm(plan):
-            counts["recovered"] += 1
     return {"trials": trials, "successes": successes, "counts": counts}
 
 
@@ -593,20 +588,14 @@ def run_gpu_batch(params: Dict[str, Any], context: Any,
     (:class:`~repro.gpu.resilience.FaultPlan`) into a fresh run and
     classifies the outcome; the monitored proportion is the detection
     rate (DUE + trap + crash) among architecturally visible faults.
-    With ``recovery_attempts > 1`` every detection is additionally
-    re-executed from the checkpoint image to confirm containment
-    (tallied under ``recovered``).
 
     By default the batch runs through the trial-batched tensor executor
     (:mod:`repro.gpu.tensor`), ``trial_batch`` plans per sweep;
     ``tensor=False`` forces the scalar per-trial loop.  Both paths draw
     identical fault plans from the batch seed and bin identically —
     pinned by the equivalence tests in ``tests/gpu/test_tensor.py``.
-    Recovery confirmation (``recovery_attempts > 1``) always takes the
-    scalar path.
     """
     from repro.compiler import compile_for_scheme, resilience_mode
-    from repro.gpu.recovery import run_with_recovery
     from repro.workloads import get_workload
 
     instance = context.get("instance") if isinstance(context, dict) else None
@@ -619,7 +608,6 @@ def run_gpu_batch(params: Dict[str, Any], context: Any,
     launch = compiled.adjust_launch(instance.launch)
     mode = resilience_mode(scheme)
     code = params.get("code", "secded-dp")
-    recovery_attempts = params.get("recovery_attempts", 0)
     occurrence_max = params.get("occurrence_max", 60)
     where = params.get("where", "result")
     max_steps = params.get("max_steps", 50_000_000)
@@ -629,142 +617,12 @@ def run_gpu_batch(params: Dict[str, Any], context: Any,
              for _ in range(batch.size)]
     fresh_state = _state_factory(mode, code)
 
-    if params.get("tensor", True) and recovery_attempts <= 1:
+    if params.get("tensor", True):
         return _run_trials_tensor(
             instance, compiled.kernel, launch, plans, fresh_state,
             max_steps, params.get("trial_batch", 2048))
-
-    def contained(plan: Any) -> bool:
-        struck = [plan]
-        outcome = run_with_recovery(
-            compiled.kernel, launch, instance.memory,
-            lambda: fresh_state(struck.pop() if struck else None),
-            max_attempts=recovery_attempts)
-        return instance.verify(outcome.memory)
-
-    return _run_trials_scalar(
-        instance, compiled.kernel, launch, plans, fresh_state, max_steps,
-        confirm=contained if recovery_attempts > 1 else None)
-
-
-def run_gpu_recovery_batch(params: Dict[str, Any], context: Any,
-                           batch: BatchSpec) -> Dict[str, Any]:
-    """One batch of end-to-end recovery-ladder trials over a workload.
-
-    Each trial injects one :class:`~repro.gpu.resilience.FaultPlan`
-    (datapath ``result`` or register-file ``storage`` strike, per
-    ``where``) and runs the kernel under
-    :func:`~repro.gpu.recovery.run_with_ladder` with a
-    :class:`~repro.gpu.recovery.ContainmentAuditor` attached.  Trials
-    tally into mutually exclusive bins — ``not_hit`` / ``masked`` /
-    ``corrected_in_place`` / ``cta_replayed`` / ``kernel_replayed`` /
-    ``due`` / ``hang`` / ``sdc`` — and the monitored proportion is
-    *recovery coverage*: the fraction of architecturally visible faults
-    that end with verified-correct memory.  ``persistent=True`` re-arms
-    the fault on every replay (a stuck-at cell), which must exhaust the
-    ladder and surface a DUE rather than loop.  A containment violation
-    raises, crashing the batch: detected errors leaking to DRAM is a
-    campaign-stopping correctness failure, not an outcome bin.
-    """
-    from repro.compiler import compile_for_scheme, resilience_mode
-    from repro.gpu.recovery import (ContainmentAuditor, LadderConfig,
-                                    run_with_ladder)
-    from repro.gpu.resilience import ResilienceState
-    from repro.gpu.watchdog import WatchdogConfig
-    from repro.workloads import get_workload
-
-    instance = context.get("instance") if isinstance(context, dict) else None
-    if instance is None:
-        instance = get_workload(params["workload"]).build(
-            scale=params.get("scale", 0.25),
-            seed=params.get("build_seed", 1))
-    tamper = params.get("tamper")
-    if tamper is not None:
-        # a deliberately mis-scheduled pass (repro.compiler.tamper):
-        # how the acceptance tests prove the auditor catches late checks
-        from repro.compiler.tamper import compile_tampered
-        compiled = compile_tampered(instance.kernel, tamper)
-        mode = params.get("mode", "swdup")
-        scheme = None
-    else:
-        scheme = params.get("compile_scheme", "swap-ecc")
-        compiled = compile_for_scheme(instance.kernel, instance.launch,
-                                      scheme)
-        mode = resilience_mode(scheme)
-    launch = compiled.adjust_launch(instance.launch)
-    code = params.get("code", "secded-dp")
-    where = params.get("where", "result")
-    persistent = params.get("persistent", False)
-    occurrence_max = params.get("occurrence_max", 60)
-    ladder = LadderConfig(
-        max_cta_replays=params.get("max_cta_replays", 1),
-        max_kernel_replays=params.get("max_kernel_replays", 2),
-        watchdog=WatchdogConfig(
-            max_steps=params.get("max_steps", 2_000_000),
-            max_warp_steps=params.get("max_warp_steps")))
-
-    rng = random.Random(batch.seed)
-    counts = _empty_counts()
-    trials = 0
-    successes = 0
-    replayed_instructions = 0
-    total_instructions = 0
-    detections = 0
-    audits = 0
-    for trial_index in range(batch.size):
-        plan = _draw_plan(rng, instance.launch, occurrence_max, where)
-        armed = [plan] if not persistent else None
-
-        def make_state() -> ResilienceState:
-            if persistent:
-                fault = plan  # a stuck-at cell strikes every attempt
-            else:
-                fault = armed.pop() if armed else None
-            return ResilienceState(
-                mode=mode,
-                scheme=make_scheme(code) if mode == "swap" else None,
-                fault=fault)
-
-        auditor = ContainmentAuditor(compiled.kernel, launch)
-        try:
-            report = run_with_ladder(compiled.kernel, launch,
-                                     instance.memory, make_state,
-                                     config=ladder, auditor=auditor)
-        except ContainmentViolation as exc:
-            # enrich the auditor's diagnosis with the exact trial inputs
-            # so the journaled failure record reruns this one strike
-            context = dict(getattr(exc, "context", {}) or {})
-            context.update({
-                "seed": batch.seed, "batch": batch.index,
-                "trial": trial_index, "plan": plan.to_dict()})
-            if isinstance(params.get("workload"), str):
-                context["workload"] = params["workload"]
-            raise ContainmentViolation(str(exc), context=context) from exc
-        total_instructions += report.total_instructions
-        replayed_instructions += report.replayed_instructions
-        detections += report.detections
-        audits += report.audits
-        if report.faults_fired == 0:
-            counts["not_hit"] += 1
-            continue
-        trials += 1
-        if report.succeeded:
-            correct = instance.verify(report.memory)
-            if not correct:
-                counts["sdc"] += 1
-                continue
-            successes += 1
-            bins = {"ok": "masked", "corrected": "corrected_in_place",
-                    "cta_replayed": "cta_replayed",
-                    "kernel_replayed": "kernel_replayed"}
-            counts[bins[report.outcome]] += 1
-        else:
-            counts[report.outcome] += 1
-    return {"trials": trials, "successes": successes, "counts": counts,
-            "payload": {"replayed_instructions": replayed_instructions,
-                        "total_instructions": total_instructions,
-                        "detections": detections, "audits": audits,
-                        "violations": 0}}
+    return _run_trials_scalar(instance, compiled.kernel, launch, plans,
+                              fresh_state, max_steps)
 
 
 def run_certify_batch(params: Dict[str, Any], context: Any,
@@ -885,7 +743,6 @@ def run_mbu_sweep_batch(params: Dict[str, Any], context: Any,
 
 register_unit_kind("gate", run_gate_batch)
 register_unit_kind("gpu", run_gpu_batch)
-register_unit_kind("gpu-recovery", run_gpu_recovery_batch)
 register_unit_kind("certify", run_certify_batch)
 register_unit_kind("mbu-sweep", run_mbu_sweep_batch)
 
@@ -906,8 +763,8 @@ def gate_work_unit(name: str, site_count: Optional[int] = 300,
 def gpu_work_unit(workload: str, compile_scheme: str = "swap-ecc",
                   scale: float = 0.25, build_seed: int = 1, seed: int = 0,
                   code: str = "secded-dp", occurrence_max: int = 60,
-                  recovery_attempts: int = 0, where: str = "result",
-                  tensor: bool = True, trial_batch: int = 2048,
+                  where: str = "result", tensor: bool = True,
+                  trial_batch: int = 2048,
                   unit_id: Optional[str] = None) -> WorkUnit:
     """A GPU-level FaultPlan sweep work unit over one workload kernel.
 
@@ -918,38 +775,9 @@ def gpu_work_unit(workload: str, compile_scheme: str = "swap-ecc",
     params = {"workload": workload, "compile_scheme": compile_scheme,
               "scale": scale, "build_seed": build_seed, "seed": seed,
               "code": code, "occurrence_max": occurrence_max,
-              "recovery_attempts": recovery_attempts, "where": where,
-              "tensor": tensor, "trial_batch": trial_batch}
+              "where": where, "tensor": tensor, "trial_batch": trial_batch}
     return WorkUnit(unit_id=unit_id or f"{workload}/{compile_scheme}",
                     kind="gpu", params=params)
-
-
-def gpu_recovery_work_unit(workload: str, compile_scheme: str = "swap-ecc",
-                           scale: float = 0.25, build_seed: int = 1,
-                           seed: int = 0, code: str = "secded-dp",
-                           where: str = "result", persistent: bool = False,
-                           occurrence_max: int = 60,
-                           max_cta_replays: int = 1,
-                           max_kernel_replays: int = 2,
-                           max_steps: int = 2_000_000,
-                           max_warp_steps: Optional[int] = None,
-                           unit_id: Optional[str] = None) -> WorkUnit:
-    """A recovery-ladder sweep work unit (see :func:`run_gpu_recovery_batch`).
-
-    ``where`` picks the strike site (``"result"`` pipeline faults vs
-    ``"storage"`` register-file upsets), ``persistent`` re-arms the fault
-    on every replay to model a stuck-at cell.
-    """
-    params = {"workload": workload, "compile_scheme": compile_scheme,
-              "scale": scale, "build_seed": build_seed, "seed": seed,
-              "code": code, "where": where, "persistent": persistent,
-              "occurrence_max": occurrence_max,
-              "max_cta_replays": max_cta_replays,
-              "max_kernel_replays": max_kernel_replays,
-              "max_steps": max_steps, "max_warp_steps": max_warp_steps}
-    return WorkUnit(
-        unit_id=unit_id or f"{workload}/{code}/{where}",
-        kind="gpu-recovery", params=params)
 
 
 def certify_work_unit(scheme: str, mode: str = "fast", seed: int = 0,

@@ -8,7 +8,7 @@ module supplies the campaign-side defenses, wired into
 argument and switched on by default in every study entry point
 (:func:`~repro.inject.campaign.run_full_campaign`,
 :func:`~repro.experiments.figures_inject.run_injection_study`,
-:func:`~repro.experiments.recovery_coverage.run_recovery_coverage_study`):
+:func:`~repro.experiments.mbu_degradation.run_mbu_degradation_study`):
 
 **Resource-governed workers.**  :class:`ResourceBudget` caps each batch
 worker with ``resource.setrlimit`` — an address-space cap that turns

@@ -164,7 +164,8 @@ class TestQuarantine:
         assert len(failures) == 3
         assert "poison pill strikes again" in failures[-1]["detail"]
         assert "RuntimeError" in failures[-1]["traceback"]
-        records = [json.loads(line) for line in open(journal)]
+        with open(journal) as handle:
+            records = [json.loads(line) for line in handle]
         dead_letters = [r for r in records
                         if r["type"] == "unit_quarantined"]
         assert len(dead_letters) == 1
