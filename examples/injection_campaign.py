@@ -26,18 +26,17 @@ single engine: the units are split across ``N`` leased shards under
 ``<journal>.fabric``, one coordinator forks a holder process per lease,
 and each shard runs its own supervised engine and tamper-evident
 journal.  When a holder dies, its shard is re-granted to a fresh holder
-under a new fencing token as soon as it exits (work stealing; disable
-with ``--steal no``).  A killed coordinator resumes from its own
-journal, and the per-shard journals merge deterministically into
-``merged_report.json``.
+under a new fencing token as soon as it exits.  A killed coordinator
+resumes from its own journal, and the per-shard journals merge
+deterministically into ``merged_report.json``, whose tables match the
+single-engine run's.
 
 Usage::
 
     python examples/injection_campaign.py [samples] [sites]
         [--journal PATH] [--ci HALF_WIDTH] [--batch N] [--timeout S]
         [--max-rss MB] [--max-cpu S] [--quarantine K]
-        [--salvage] [--no-supervisor]
-        [--shards N] [--steal yes|no]
+        [--salvage] [--no-supervisor] [--shards N]
 
 On a shared 2-vCPU VM the defaults (600 samples, 200 sites) finish in
 about 2 s, and EXPERIMENTS.md's setting ``2000 400`` in about 6 s, with
@@ -94,10 +93,6 @@ def parse_args():
                              "units across N leased shards, one forked "
                              "holder per lease (requires --journal for "
                              "the fabric dir)")
-    parser.add_argument("--steal", choices=("yes", "no"), default="yes",
-                        help="re-grant the shard of a dead holder to a "
-                             "fresh holder (default yes); 'no' fails the "
-                             "fabric on the first lost lease")
     return parser.parse_args()
 
 
@@ -141,8 +136,7 @@ def main():
     study = run_injection_study(
         sample_count=args.samples, site_count=sites,
         journal_path=args.journal, engine_config=engine_config,
-        supervisor=supervisor, salvage=args.salvage,
-        shards=args.shards, steal=args.steal == "yes")
+        supervisor=supervisor, salvage=args.salvage, shards=args.shards)
 
     print("\nFigure 10 — unmasked error severity per unit")
     print(render_figure10(study))

@@ -15,9 +15,10 @@ swept space, and minimal counterexample if violated::
     assert certificate.passed
     write_certificate(certificate, out_dir="artifacts")
 
-Every call sweeps from scratch; nothing is cached.  The resumable route
-is a certify work unit (:func:`repro.inject.certify_work_unit`) run
-through the journaled :class:`~repro.inject.CampaignEngine`.
+Every call sweeps from scratch and nothing is cached: all 12 registered
+schemes certify in a few seconds, so there is nothing to resume.  A
+certificate's verdicts, swept spaces and counterexamples live in its
+``CERTIFICATE_<scheme>.json`` artifact.
 
 See :mod:`repro.certify.claims` for the claim matrix,
 :mod:`repro.certify.strikes` for the strike spaces, and

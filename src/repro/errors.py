@@ -30,8 +30,8 @@ The severity taxonomy:
 * ``config`` — the request itself was malformed; retrying without
   changing inputs can never succeed.
 
-Instances carry a structured ``context`` dict (unit id, shard, lease
-token, seed, batch index, ...) validated at raise time, and round-trip
+Instances carry a structured ``context`` dict (workload, scheme, path,
+shard, lease token, ...) validated at raise time, and round-trip
 through journals and worker pipes via :meth:`ReproError.to_record` /
 :meth:`ReproError.from_record` and a ``__reduce__`` that preserves the
 full diagnostic payload under pickling.
@@ -49,23 +49,17 @@ _CODE_PATTERN = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 #: triage semantics of each)
 SEVERITIES = ("fatal", "degraded", "transient", "config")
 
-#: well-known context fields and their required types.  Other keys are
-#: allowed (subsystems attach what they know), but these names are the
-#: shared vocabulary journals and reports match on, so a wrong type here
-#: is a programming error caught at raise time.
+#: the context fields some raise site sets, and their required types.
+#: Other keys are allowed and stay untyped (subsystems attach what they
+#: know, and records journaled by older builds carry retired keys), but
+#: a wrong type on one of these is a programming error caught at raise
+#: time.
 CONTEXT_FIELD_TYPES: Dict[str, type] = {
-    "unit": str,       # work-unit id
+    "workload": str,   # workload id
+    "scheme": str,     # protection-scheme name
+    "path": str,       # filesystem path involved
     "shard": str,      # fabric shard id
     "token": int,      # lease fencing token
-    "seed": int,       # RNG seed of the failing batch/trial
-    "batch": int,      # batch index within the unit
-    "trial": int,      # trial index within the batch
-    "rix": int,        # journal record index
-    "scheme": str,     # protection-scheme name
-    "workload": str,   # workload id
-    "kind": str,       # unit kind / tamper kind
-    "claim": str,      # certifier claim name
-    "path": str,       # filesystem path involved
 }
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
@@ -462,8 +456,8 @@ class FabricConfigError(FabricError):
     """A fabric configuration or campaign the fabric cannot run.
 
     The typed form of fabric misconfiguration: a non-positive shard
-    count, an unknown sharding mode, more replicated batches than the
-    shard seed stride holds, a work unit that carries a context.
+    count or lease-attempt limit, or a work unit that carries a
+    context.
     ``config`` because retrying without changing the configuration can
     never succeed — distinct from :class:`FabricError`'s ``degraded``
     runtime failures.

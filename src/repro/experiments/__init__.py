@@ -6,8 +6,6 @@
   (slowdowns, instruction mix, inter-thread comparison, future predictors).
 * Figure 14 — :mod:`repro.experiments.fig14_power`.
 * Tables I-IV — :mod:`repro.experiments.tables`.
-* MBU degradation (detection coverage vs strike multiplicity) —
-  :mod:`repro.experiments.mbu_degradation`.
 """
 
 from repro.experiments.common import (SchemeRun, render_table, run_matrix,
@@ -21,11 +19,6 @@ from repro.experiments.figures_inject import (FIG11_CODE_ORDER,
                                               render_figure10,
                                               render_figure11,
                                               run_injection_study)
-from repro.experiments.mbu_degradation import (MBU_MATRIX,
-                                               MbuDegradationStudy,
-                                               render_mbu_degradation,
-                                               run_mbu_degradation_study,
-                                               write_mbu_artifact)
 from repro.experiments.figures_perf import (FIG12_SCHEMES, FIG15_SCHEMES,
                                             FIG16_SCHEMES, PerformanceStudy,
                                             render_mix_table,
@@ -40,8 +33,6 @@ __all__ = [
     "run_power_study",
     "FIG11_CODE_ORDER", "InjectionStudy", "figure11_schemes",
     "render_figure10", "render_figure11", "run_injection_study",
-    "MBU_MATRIX", "MbuDegradationStudy", "render_mbu_degradation",
-    "run_mbu_degradation_study", "write_mbu_artifact",
     "FIG12_SCHEMES", "FIG15_SCHEMES", "FIG16_SCHEMES", "PerformanceStudy",
     "render_mix_table", "render_slowdown_table", "run_performance_study",
     "TABLE_I", "TABLE_II", "format_table_iv", "table_iii", "table_iv_rows",

@@ -46,8 +46,7 @@ def run_injection_study(sample_count: int = 1000,
                         engine_config=None, supervisor=None,
                         salvage: bool = False,
                         shards: Optional[int] = None,
-                        fabric_dir: Optional[str] = None,
-                        steal: bool = True) -> InjectionStudy:
+                        fabric_dir: Optional[str] = None) -> InjectionStudy:
     """Run the six-unit campaign and fold in every Figure 11 code.
 
     ``journal_path``/``journal_fsync``/``engine_config`` flow to the
@@ -64,17 +63,16 @@ def run_injection_study(sample_count: int = 1000,
     ``shards=N`` runs the campaign on the distributed fabric
     (:mod:`repro.inject.fabric`): leased shards under ``fabric_dir`` run
     by one forked holder per lease, a dead holder's shard is re-leased
-    as soon as it exits (``steal``), the coordinator resumes from its
-    own journal, and the per-shard journals merge deterministically; it
-    cannot be combined with ``trace``.
+    as soon as it exits, the coordinator resumes from its own journal,
+    and the per-shard journals merge deterministically; it cannot be
+    combined with ``trace``.
     """
     campaigns = run_full_campaign(sample_count, site_count, seed, trace,
                                   units, journal_path=journal_path,
                                   journal_fsync=journal_fsync,
                                   engine_config=engine_config,
                                   supervisor=supervisor, salvage=salvage,
-                                  shards=shards, fabric_dir=fabric_dir,
-                                  steal=steal)
+                                  shards=shards, fabric_dir=fabric_dir)
     schemes = figure11_schemes()
     severity = {}
     risk = {}

@@ -14,15 +14,12 @@ from repro.inject.operands import (OPERAND_KINDS, OperandTrace,
                                    synthetic_operands)
 from repro.inject.engine import (OUTCOMES, CampaignEngine, CampaignReport,
                                  EngineConfig, UnitReport, WilsonEstimate,
-                                 WorkUnit, certify_work_unit, gate_work_unit,
-                                 gpu_work_unit, make_scheme,
-                                 mbu_sweep_work_unit,
-                                 merged_gate_results, register_unit_kind,
-                                 wilson_interval)
+                                 WorkUnit, gate_work_unit, gpu_work_unit,
+                                 make_scheme, merged_gate_results,
+                                 register_unit_kind, wilson_interval)
 from repro.inject.fabric import (CampaignFabric, FabricConfig, FabricReport,
-                                 partition_units, replicate_units,
-                                 run_fabric_campaign)
-from repro.inject.journal import Journal, JournalCursor, JournalState
+                                 partition_units, run_fabric_campaign)
+from repro.inject.journal import Journal, JournalState
 from repro.inject.lease import Lease, LeaseTable, rebase_journal
 from repro.inject.merge import (MergedCampaign, ShardSource,
                                 merge_fabric_dir, merge_shard_journals,
@@ -40,13 +37,12 @@ __all__ = [
     "classify_severity", "merge_results",
     "OPERAND_KINDS", "OperandTrace", "synthetic_operands",
     "OUTCOMES", "CampaignEngine", "CampaignReport", "EngineConfig",
-    "UnitReport", "WilsonEstimate", "WorkUnit", "certify_work_unit",
-    "gate_work_unit", "gpu_work_unit", "make_scheme",
-    "mbu_sweep_work_unit", "merged_gate_results",
+    "UnitReport", "WilsonEstimate", "WorkUnit", "gate_work_unit",
+    "gpu_work_unit", "make_scheme", "merged_gate_results",
     "register_unit_kind", "wilson_interval",
     "CampaignFabric", "FabricConfig", "FabricReport", "partition_units",
-    "replicate_units", "run_fabric_campaign",
-    "Journal", "JournalCursor", "JournalState",
+    "run_fabric_campaign",
+    "Journal", "JournalState",
     "Lease", "LeaseTable", "rebase_journal",
     "MergedCampaign", "ShardSource", "merge_fabric_dir",
     "merge_shard_journals", "write_merged_report",

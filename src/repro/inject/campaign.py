@@ -81,9 +81,7 @@ def run_full_campaign(sample_count: int = 1000,
                       engine_config=None, supervisor=None,
                       salvage: bool = False,
                       shards: Optional[int] = None,
-                      fabric_dir: Optional[str] = None,
-                      steal: bool = True,
-                      fabric_config=None
+                      fabric_dir: Optional[str] = None
                       ) -> Dict[str, CampaignResult]:
     """Campaigns for every Figure 10 unit, keyed by unit name.
 
@@ -128,11 +126,9 @@ def run_full_campaign(sample_count: int = 1000,
     coordinator forks a holder process per lease, each running its
     shard under its own supervised engine and tamper-evident journal.
     A holder that dies has its shard re-leased to a fresh holder under
-    the next fencing token as soon as it exits (``steal``), a crashed
-    coordinator resumes from its own journal, and the per-shard
-    journals merge deterministically.  Pass a full
-    :class:`~repro.inject.fabric.FabricConfig` as ``fabric_config`` for
-    fleet-level knobs (replicated mode, global Wilson early-stop);
+    the next fencing token as soon as it exits, a crashed coordinator
+    resumes from its own journal, and the per-shard journals merge
+    deterministically into the counts a single engine reaches.
     ``supervisor`` is ignored in fabric mode — every holder runs under
     its own supervisor.  Shards journal and merge their units by kind
     and params alone, so ``trace`` cannot be combined with ``shards``:
@@ -158,7 +154,7 @@ def run_full_campaign(sample_count: int = 1000,
     work = [gate_work_unit(name, site_count=site_count, seed=seed + index,
                            trace=trace)
             for index, name in enumerate(units)]
-    if shards is not None or fabric_config is not None:
+    if shards is not None:
         from repro.inject.fabric import FabricConfig, run_fabric_campaign
         if fabric_dir is None:
             if journal_path is None:
@@ -166,11 +162,9 @@ def run_full_campaign(sample_count: int = 1000,
                     "a sharded campaign needs a fabric_dir (or a "
                     "journal_path to derive one from)")
             fabric_dir = f"{journal_path}.fabric"
-        if fabric_config is None:
-            fabric_config = FabricConfig(shards=shards, steal=steal,
-                                         engine=engine_config)
-        fabric_report = run_fabric_campaign(work, fabric_dir,
-                                            fabric_config)
+        fabric_report = run_fabric_campaign(
+            work, fabric_dir,
+            FabricConfig(shards=shards, engine=engine_config))
         merged = merged_gate_results(fabric_report.report)
         return {name: merged[name] for name in units if name in merged}
     supervisor = coerce_supervisor(supervisor)

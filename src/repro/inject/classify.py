@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.ecc.swap import SwapScheme
 from repro.ecc.vectorized import READ_DUE, parity_many
 from repro.errors import InjectionError
-from repro.inject.hamartia import (SEVERITY_CLASSES, CampaignResult,
-                                   classify_severity)
+from repro.inject.hamartia import SEVERITY_CLASSES, CampaignResult
 
 
 @dataclass(frozen=True)
@@ -159,9 +158,9 @@ def sdc_risk_sweep(result: CampaignResult,
     return {scheme.name: sdc_risk(result, scheme) for scheme in schemes}
 
 
-#: the collapsed bins of a detection-rate sweep (gpu / mbu-sweep units):
-#: ``detected`` folds every loud outcome (due, trap, hang, crash) while
-#: ``masked`` and ``sdc`` keep their engine meanings
+#: the collapsed bins of a GPU unit's detection-rate sweep: ``detected``
+#: folds every loud outcome (due, trap, hang, crash) while ``masked``
+#: and ``sdc`` keep their engine meanings
 DETECTION_CLASSES = ("detected", "masked", "sdc")
 
 #: the engine outcome keys that count as a loud detection
@@ -169,13 +168,12 @@ _DETECTED_OUTCOMES = ("due", "trap", "hang", "crash")
 
 
 def detection_coverage(counts: Dict[str, int]) -> Dict[str, float]:
-    """Collapse a gpu/mbu-sweep unit's tallies into detection fractions.
+    """Collapse a GPU unit's tallies into detection fractions.
 
     Returns each :data:`DETECTION_CLASSES` bin as a fraction of the
     architecturally *visible* trials (``not_hit`` excluded): ``detected``
     is the scheme's coverage, ``sdc`` its escape rate, and ``masked``
-    the benign remainder.  The MBU-degradation study plots ``detected``
-    against strike multiplicity.
+    the benign remainder.
     """
     detected = sum(counts.get(name, 0) for name in _DETECTED_OUTCOMES)
     masked = counts.get("masked", 0)

@@ -27,8 +27,11 @@ signal-safe drains, and CRC-verified journals via ``salvage``); see
 :mod:`repro.inject.supervisor` for the policy objects and
 :class:`CampaignEngine`'s ``supervisor`` argument for the wiring.
 
-New unit kinds plug in through :func:`register_unit_kind`; batch
-workers are forked, so they inherit registered kinds and unit contexts.
+Two unit kinds ship registered: ``gate`` (:func:`gate_work_unit`,
+run by :func:`run_gate_batch`) and ``gpu`` (:func:`gpu_work_unit`, run
+by :func:`run_gpu_batch`).  Other kinds plug in through
+:func:`register_unit_kind`; batch workers are forked, so they inherit
+registered kinds and unit contexts.
 """
 
 from __future__ import annotations
@@ -625,126 +628,8 @@ def run_gpu_batch(params: Dict[str, Any], context: Any,
                               fresh_state, max_steps)
 
 
-def run_certify_batch(params: Dict[str, Any], context: Any,
-                      batch: BatchSpec) -> Dict[str, Any]:
-    """One guarantee-certification sweep as a campaign work unit.
-
-    Runs :func:`repro.certify.certify_scheme` (or certifies a prebuilt
-    scheme passed via ``context["scheme"]`` — how the tamper tests push a
-    known-broken code through the engine) and folds the claim sweep into
-    the campaign taxonomy: every claim check that held tallies under
-    ``masked`` (the strike was contained as promised) and every violated
-    check under ``sdc`` (a broken guarantee is a silent-corruption
-    escape, not a detected one).  The monitored proportion is therefore
-    the claim-check pass rate — 1.0 for a certified scheme — and the full
-    certificate dict rides along as the batch payload so journals and
-    artifacts retain verdicts, swept spaces, and counterexamples; a
-    resumed campaign replays it from the journal without a second sweep.
-    """
-    from repro.certify import Certifier, certify_scheme
-    mode = params.get("mode", "fast")
-    prebuilt = context.get("scheme") if isinstance(context, dict) else None
-    if prebuilt is not None:
-        certificate = Certifier(mode=mode, seed=batch.seed).certify(
-            prebuilt, name=params.get("scheme"))
-    else:
-        certificate = certify_scheme(params["scheme"], mode=mode,
-                                     seed=batch.seed)
-    counts = _empty_counts()
-    trials = 0
-    violations = 0
-    for report in certificate.claims.values():
-        trials += report.swept
-        violations += report.violations
-    counts["sdc"] = violations
-    counts["masked"] = trials - violations
-    return {"trials": trials, "successes": trials - violations,
-            "counts": counts, "payload": certificate.to_dict()}
-
-
-def run_mbu_sweep_batch(params: Dict[str, Any], context: Any,
-                        batch: BatchSpec) -> Dict[str, Any]:
-    """One batch of multi-bit-upset trials at a fixed strike multiplicity.
-
-    The MBU analogue of :func:`run_gpu_batch`: each trial injects one
-    :class:`~repro.gpu.resilience.FaultPlan` whose strike is
-    ``multiplicity`` bits wide — contiguous when ``pattern`` is
-    ``"burst"``, independently drawn when ``"random"`` — optionally
-    correlated across ``lane_spread`` adjacent-drawn lanes of the struck
-    warp (the row/column MBU shape).  Outcomes classify exactly as in
-    the single-bit sweep, so the monitored proportion is the detection
-    rate among architecturally visible faults and its degradation from
-    multiplicity 1 upward is directly comparable.  Like the single-bit
-    sweep, trials run through the trial-batched tensor executor by
-    default (``tensor=False`` pins the scalar loop; counts identical).
-    """
-    from repro.compiler import compile_for_scheme, resilience_mode
-    from repro.gpu.resilience import FaultPlan
-    from repro.workloads import get_workload
-
-    multiplicity = params.get("multiplicity", 1)
-    if not isinstance(multiplicity, int) or not 1 <= multiplicity <= 32:
-        raise InjectionError(
-            f"multiplicity must be an int in [1, 32], got {multiplicity!r}")
-    pattern = params.get("pattern", "random")
-    if pattern not in ("random", "burst"):
-        raise InjectionError(
-            f"pattern must be 'random' or 'burst', got {pattern!r}")
-    lane_spread = params.get("lane_spread", 1)
-    instance = context.get("instance") if isinstance(context, dict) else None
-    if instance is None:
-        instance = get_workload(params["workload"]).build(
-            scale=params.get("scale", 0.25),
-            seed=params.get("build_seed", 1))
-    scheme = params.get("compile_scheme", "swap-ecc")
-    compiled = compile_for_scheme(instance.kernel, instance.launch, scheme)
-    launch = compiled.adjust_launch(instance.launch)
-    mode = resilience_mode(scheme)
-    code = params.get("code", "secded-dp")
-    occurrence_max = params.get("occurrence_max", 60)
-    where = params.get("where", "storage")
-    max_steps = params.get("max_steps", 50_000_000)
-    lane_count = min(32, instance.launch.threads_per_cta)
-    if not isinstance(lane_spread, int) \
-            or not 1 <= lane_spread <= lane_count:
-        raise InjectionError(
-            f"lane_spread must be an int in [1, {lane_count}], "
-            f"got {lane_spread!r}")
-
-    rng = random.Random(batch.seed)
-    plans = []
-    for _ in range(batch.size):
-        if pattern == "burst":
-            start = rng.randrange(33 - multiplicity)
-            bits = tuple(range(start, start + multiplicity))
-        else:
-            bits = tuple(sorted(rng.sample(range(32), multiplicity)))
-        lanes = tuple(sorted(rng.sample(range(lane_count), lane_spread)))
-        plans.append(FaultPlan(
-            cta_index=rng.randrange(instance.launch.grid_ctas),
-            warp_index=rng.randrange(instance.launch.warps_per_cta),
-            occurrence=rng.randrange(occurrence_max),
-            lane=lanes[0], bit=bits[0], bits=bits, lanes=lanes,
-            where=where))
-    fresh_state = _state_factory(mode, code)
-
-    payload = {"multiplicity": multiplicity, "pattern": pattern,
-               "lane_spread": lane_spread, "where": where}
-    if params.get("tensor", True):
-        report = _run_trials_tensor(
-            instance, compiled.kernel, launch, plans, fresh_state,
-            max_steps, params.get("trial_batch", 2048))
-    else:
-        report = _run_trials_scalar(instance, compiled.kernel, launch,
-                                    plans, fresh_state, max_steps)
-    report.setdefault("payload", {}).update(payload)
-    return report
-
-
 register_unit_kind("gate", run_gate_batch)
 register_unit_kind("gpu", run_gpu_batch)
-register_unit_kind("certify", run_certify_batch)
-register_unit_kind("mbu-sweep", run_mbu_sweep_batch)
 
 
 def gate_work_unit(name: str, site_count: Optional[int] = 300,
@@ -780,46 +665,6 @@ def gpu_work_unit(workload: str, compile_scheme: str = "swap-ecc",
                     kind="gpu", params=params)
 
 
-def certify_work_unit(scheme: str, mode: str = "fast", seed: int = 0,
-                      scheme_instance: Any = None,
-                      unit_id: Optional[str] = None) -> WorkUnit:
-    """A guarantee-certification work unit (see :func:`run_certify_batch`).
-
-    This is the resumable way to certify: run through a journaled
-    :class:`CampaignEngine`, a finished unit replays its certificate
-    from the journal instead of sweeping again.  ``scheme_instance``
-    overrides the registry lookup with a prebuilt
-    :class:`~repro.ecc.swap.SwapScheme` — the route for certifying
-    tampered schemes through the engine; it rides in ``context`` so the
-    journaled params stay JSON-serializable.
-    """
-    params = {"scheme": scheme, "mode": mode, "seed": seed}
-    context = {"scheme": scheme_instance} \
-        if scheme_instance is not None else None
-    return WorkUnit(unit_id=unit_id or f"certify/{scheme}/{mode}",
-                    kind="certify", params=params, context=context)
-
-
-def mbu_sweep_work_unit(workload: str, multiplicity: int,
-                        compile_scheme: str = "swap-ecc",
-                        scale: float = 0.25, build_seed: int = 1,
-                        seed: int = 0, code: str = "secded-dp",
-                        occurrence_max: int = 60, where: str = "storage",
-                        pattern: str = "random", lane_spread: int = 1,
-                        tensor: bool = True, trial_batch: int = 2048,
-                        unit_id: Optional[str] = None) -> WorkUnit:
-    """A multi-bit-upset sweep unit (see :func:`run_mbu_sweep_batch`)."""
-    params = {"workload": workload, "multiplicity": multiplicity,
-              "compile_scheme": compile_scheme, "scale": scale,
-              "build_seed": build_seed, "seed": seed, "code": code,
-              "occurrence_max": occurrence_max, "where": where,
-              "pattern": pattern, "lane_spread": lane_spread,
-              "tensor": tensor, "trial_batch": trial_batch}
-    return WorkUnit(
-        unit_id=unit_id or f"{workload}/{code}/m{multiplicity}",
-        kind="mbu-sweep", params=params)
-
-
 # ---------------------------------------------------------------------------
 # crash-isolated execution
 
@@ -830,37 +675,6 @@ _BATCH_SEED_STRIDE = 1000003
 
 def _batch_seed(params: Dict[str, Any], index: int) -> int:
     return params.get("seed", 0) + index * _BATCH_SEED_STRIDE
-
-
-#: spacing between *shard* seed bases — wide enough that every batch
-#: seed a shard of up to 4096 batches can derive stays disjoint from its
-#: neighbors' (:class:`~repro.inject.fabric.FabricConfig` refuses a
-#: replicated campaign with more)
-SHARD_SEED_STRIDE = _BATCH_SEED_STRIDE * 4096
-
-
-def shard_unit_id(unit_id: str, shard_index: int) -> str:
-    """The shard-aware id of ``unit_id``'s clone on shard ``shard_index``."""
-    return f"{unit_id}@s{shard_index}"
-
-
-def shard_work_unit(unit: WorkUnit, shard_index: int,
-                    shard_count: int) -> WorkUnit:
-    """Clone ``unit`` for one shard of a fleet-wide scale-out sweep.
-
-    The clone gets a shard-aware unit id (``<id>@s<k>``) and a seed base
-    offset by ``shard_index * SHARD_SEED_STRIDE``, so the fleet samples
-    ``shard_count`` disjoint deterministic seed ranges of the same
-    campaign — the shape the fabric's *global* Wilson early-stop
-    estimates over.
-    """
-    if not 0 <= shard_index < shard_count:
-        raise InjectionError(
-            f"shard_index must be in [0, {shard_count}), got {shard_index}")
-    params = dict(unit.params)
-    params["seed"] = params.get("seed", 0) + shard_index * SHARD_SEED_STRIDE
-    return WorkUnit(unit_id=shard_unit_id(unit.unit_id, shard_index),
-                    kind=unit.kind, params=params, context=unit.context)
 
 
 def _retry_delay(config: "EngineConfig", seed: int, attempts: int) -> float:

@@ -6,19 +6,17 @@ trials per second.  The fabric generalizes the engine/supervisor/journal
 stack from a subprocess pool to a *sharded fleet* that survives holder
 loss and coordinator restart without corrupting a single tally.
 
-**Leased shards.**  The campaign is split into deterministic work-unit
-shards (:func:`partition_units` round-robins distinct units;
-:func:`replicate_units` clones every unit per shard with disjoint seed
-ranges via :func:`~repro.inject.engine.shard_work_unit`).  A shard only
-ever runs under a *lease* (:mod:`repro.inject.lease`) carrying a
-fencing token.  :class:`CampaignFabric` is the coordinator: it forks
-one holder process per grant and hands it the shard's units, its lease
-journal path and header and the engine config as fork arguments.  The
-holder runs the supervised engine and exits ``0`` when its shard
-finishes or :data:`PAUSED_EXIT` when it drains.  Any other exit expires
-the lease, and — with ``steal=True`` — the shard is re-granted to a
-fresh holder whose journal is rebased from every prior holder's durable
-records.
+**Leased shards.**  :func:`partition_units` round-robins the campaign's
+distinct work units into deterministic shards, so the merged result is
+the single-engine run's.  A shard only ever runs under a *lease*
+(:mod:`repro.inject.lease`) carrying a fencing token.
+:class:`CampaignFabric` is the coordinator: it forks one holder process
+per grant and hands it the shard's units, its lease journal path and
+header and the engine config as fork arguments.  The holder runs the
+supervised engine and exits ``0`` when its shard finishes or
+:data:`PAUSED_EXIT` when it drains.  Any other exit expires the lease,
+and the shard is re-granted at once to a fresh holder whose journal is
+rebased from every prior holder's durable records.
 
 **Drains and orphans.**  Each holder gets one control pipe, and only the
 coordinator keeps its write end.  A drain writes its reason and closes
@@ -26,12 +24,11 @@ the pipe; a coordinator that dies closes it by dying.  Either way the
 holder's watcher thread reads end-of-file and drains the engine at its
 next safe point, exactly as a supervised SIGTERM would.
 
-**The journals are the only record of progress.**  Holders and the
-coordinator share one host, so the coordinator tails every lease
-journal itself (:class:`~repro.inject.journal.JournalCursor`) into the
-global Wilson estimator, deduped by ``(unit, batch index)``.  Divergent
-batch counts surface where every holder's journal meets: the merge
-raises :class:`~repro.errors.MergeConflict`, and rerunning
+**The journals are the only record of progress.**  The coordinator
+learns nothing from a holder but its exit code; it reads the lease
+journals once, when it merges them after the last holder exits.
+Divergent batch counts surface there: the merge raises
+:class:`~repro.errors.MergeConflict`, and rerunning
 :func:`~repro.inject.merge.merge_fabric_dir` on the fabric dir raises it
 again.
 """
@@ -47,11 +44,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FabricConfigError, FabricError
-from repro.inject.engine import (_BATCH_SEED_STRIDE, SHARD_SEED_STRIDE,
-                                 CampaignEngine, EngineConfig,
-                                 WilsonEstimate, WorkUnit, shard_work_unit,
-                                 wilson_interval)
-from repro.inject.journal import Journal, JournalCursor, _scan_journal
+from repro.inject.engine import CampaignEngine, EngineConfig, WorkUnit
+from repro.inject.journal import Journal, _scan_journal
 from repro.inject.lease import LeaseTable, rebase_journal
 from repro.inject.merge import (MergedCampaign, fabric_journal_paths,
                                 merge_shard_journals, write_merged_report)
@@ -61,13 +55,9 @@ from repro.inject.supervisor import DRAIN_SIGNALS, CampaignSupervisor
 #: anything else expires its lease)
 PAUSED_EXIT = 75
 
-#: how long the coordinator waits for a holder to exit before it tails
-#: the lease journals and looks for a drain request again
+#: how long the coordinator waits for a holder to exit before it looks
+#: for a drain request again
 POLL_INTERVAL_S = 0.05
-
-#: expiry reasons that are *not* steals: re-granting after these is
-#: plain resume and stays legal even with steal=False
-_BENIGN_EXPIRY = ("coordinator restart", "paused", "drained (paused)")
 
 #: coordinator-journal records that replay into the lease table
 _LEASE_RECORDS = ("lease_granted", "lease_expired", "lease_paused",
@@ -85,76 +75,29 @@ def partition_units(units: Sequence[WorkUnit],
     return buckets
 
 
-def replicate_units(units: Sequence[WorkUnit],
-                    shards: int) -> List[List[WorkUnit]]:
-    """Clone every unit onto every shard with disjoint seed ranges.
-
-    The scale-out shape: ``shards`` deterministic samples of the same
-    campaign, which the coordinator's *global* Wilson estimator reduces
-    as one proportion.
-    """
-    if shards < 1:
-        raise FabricError(f"shards must be >= 1, got {shards}")
-    return [[shard_work_unit(unit, index, shards) for unit in units]
-            for index in range(shards)]
-
-
 @dataclass
 class FabricConfig:
     """Policy knobs for one campaign fabric."""
 
     #: number of leased shards the campaign splits into
     shards: int = 4
-    #: how work maps onto shards: "partition" round-robins distinct
-    #: units, "replicate" clones every unit per shard with disjoint
-    #: deterministic seed ranges
-    mode: str = "partition"
-    #: re-grant the shard of a holder that died to a fresh holder (work
-    #: stealing); with False a lost lease fails the whole fabric instead
-    steal: bool = True
     #: give up on a shard after this many lease grants (poison shards)
     max_lease_attempts: int = 5
-    #: drain the whole fleet once the *global* Wilson CI half-width over
-    #: all shards' monitored trials drops below this (None disables)
-    global_ci_half_width: Optional[float] = None
-    #: never globally early-stop before this many monitored trials
-    global_min_trials: int = 50
-    #: z-score of the global confidence level (1.96 = 95%)
-    z: float = 1.96
-    #: per-shard engine configuration; None = engine defaults with
-    #: per-unit early stopping disabled (the global estimator governs)
+    #: per-shard engine configuration; None = engine defaults without
+    #: per-unit early stopping or a batch timeout
     engine: Optional[EngineConfig] = None
 
     def __post_init__(self):
         if self.shards < 1:
             raise FabricConfigError(
                 f"shards must be >= 1, got {self.shards}")
-        if self.mode not in ("partition", "replicate"):
-            raise FabricConfigError(
-                f"mode must be 'partition' or 'replicate', got "
-                f"{self.mode!r}")
         if self.max_lease_attempts < 1:
             raise FabricConfigError(
                 f"max_lease_attempts must be >= 1, got "
                 f"{self.max_lease_attempts}")
-        if self.global_ci_half_width is not None and \
-                self.global_ci_half_width <= 0:
-            raise FabricConfigError(
-                f"global_ci_half_width must be positive (or None), got "
-                f"{self.global_ci_half_width}")
-        if self.z <= 0:
-            raise FabricConfigError(f"z must be positive, got {self.z}")
-        max_batches = self.shard_engine_config().max_batches
-        if self.mode == "replicate" and \
-                max_batches * _BATCH_SEED_STRIDE > SHARD_SEED_STRIDE:
-            raise FabricConfigError(
-                f"replicate mode allows at most "
-                f"{SHARD_SEED_STRIDE // _BATCH_SEED_STRIDE} batches per "
-                f"unit, got max_batches={max_batches}: more would reuse "
-                f"the next shard's batch seeds")
 
     def shard_engine_config(self) -> EngineConfig:
-        """The per-shard engine config (global estimator governs stops)."""
+        """The engine config every holder runs its shard under."""
         if self.engine is not None:
             return self.engine
         return EngineConfig(ci_half_width=None, timeout_s=None)
@@ -169,13 +112,9 @@ class FabricReport:
     merged_report_path: str
     #: shard id -> "completed" / "paused" / terminal lease state
     shard_status: Dict[str, str]
-    #: True when the global Wilson early-stop drained the fleet
-    stopped_globally: bool
     #: True when a drain left work unfinished; rerun the same fabric_dir
     #: (resume) to finish it
     paused: bool
-    #: the fleet-wide Wilson estimate over every shard's trials
-    estimate: WilsonEstimate
 
     @property
     def report(self):
@@ -214,48 +153,12 @@ def build_plan(units: Sequence[WorkUnit],
     ids = [unit.unit_id for unit in units]
     if len(set(ids)) != len(ids):
         raise FabricError(f"duplicate unit ids in campaign: {ids}")
-    splitter = partition_units if config.mode == "partition" \
-        else replicate_units
-    buckets = splitter(units, config.shards)
+    buckets = partition_units(units, config.shards)
     plan = {_shard_id(index): bucket
             for index, bucket in enumerate(buckets) if bucket}
     if not plan:
         raise FabricError("the campaign has no work units to shard")
     return plan
-
-
-class _GlobalEstimator:
-    """Online fleet-wide Wilson estimator fed by journal cursors."""
-
-    def __init__(self, half_width: Optional[float], min_trials: int,
-                 z: float):
-        self.half_width = half_width
-        self.min_trials = min_trials
-        self.z = z
-        self.trials = 0
-        self.successes = 0
-        self._seen: Set[tuple] = set()
-
-    def absorb(self, record: Dict[str, Any]) -> None:
-        """Tick on one journal record (batches only; idempotent)."""
-        if record.get("type") != "batch":
-            return
-        key = (record.get("unit"), record.get("index"))
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.trials += record.get("trials", 0)
-        self.successes += record.get("successes", 0)
-
-    @property
-    def estimate(self) -> WilsonEstimate:
-        return wilson_interval(self.successes, self.trials, self.z)
-
-    @property
-    def tight(self) -> bool:
-        if self.half_width is None or self.trials < self.min_trials:
-            return False
-        return self.estimate.half_width <= self.half_width
 
 
 def _watch_control(control: int, supervisor: CampaignSupervisor) -> None:
@@ -307,8 +210,7 @@ class CampaignFabric:
     All durable state lives under ``fabric_dir``:
 
     * ``coordinator.jsonl`` — the coordinator's own CRC+rix journal
-      (shard plan, every lease transition, the global stop, the final
-      ``fabric_done``);
+      (shard plan, every lease transition, the final ``fabric_done``);
     * ``shard-<k>.lease-<t>.jsonl`` — one engine journal per lease
       grant, rebased from its predecessors on every steal;
     * ``merged_report.json`` — the canonical merged artifact.
@@ -340,13 +242,7 @@ class CampaignFabric:
         #: holder id -> write end of its control pipe, until drained
         self._control: Dict[str, int] = {}
         self._forked = 0
-        self._cursors: Dict[str, JournalCursor] = {}
         self._paused_shards: Set[str] = set()
-        self._estimator = _GlobalEstimator(
-            self.config.global_ci_half_width,
-            self.config.global_min_trials, self.config.z)
-        self._stopped_globally = False
-        self._drain_reason = ""
         self._drain_requested: Optional[str] = None
         self._journal: Optional[Journal] = None
 
@@ -373,8 +269,6 @@ class CampaignFabric:
                     previous[signum] = _signal.signal(
                         signum, self._handle_signal)
             self._replay()
-            for path in fabric_journal_paths(self.fabric_dir):
-                self._watch(path)
             self._loop()
             return self._merge()
         finally:
@@ -389,10 +283,6 @@ class CampaignFabric:
     def _path(self, name: str) -> str:
         return os.path.join(self.fabric_dir, name)
 
-    def _watch(self, journal_path: str) -> None:
-        if journal_path not in self._cursors:
-            self._cursors[journal_path] = JournalCursor(journal_path)
-
     def _open_shards(self) -> List[str]:
         return [shard for shard in self.plan
                 if not self.table.completed(shard)
@@ -405,9 +295,8 @@ class CampaignFabric:
 
         Every lease transition goes through ``table.apply_record``
         (leases in flight come back expired, reason ``coordinator
-        restart``).  A fresh plan is journaled; a resume against a
-        changed plan is refused; a recorded global stop re-arms the
-        drain.
+        restart``).  A fresh plan is journaled, and a resume against a
+        changed plan is refused.
         """
         replayed: Dict[str, Dict[str, Any]] = {}
 
@@ -415,7 +304,7 @@ class CampaignFabric:
             kind = record.get("type")
             if kind in _LEASE_RECORDS:
                 self.table.apply_record(record)
-            elif kind in ("fabric_planned", "global_stop"):
+            elif kind == "fabric_planned":
                 replayed.setdefault(kind, record)
 
         _scan_journal(self._path(COORDINATOR_JOURNAL), salvage=True,
@@ -425,7 +314,6 @@ class CampaignFabric:
         planned = replayed.get("fabric_planned")
         if planned is None:
             self._journal.append({"type": "fabric_planned",
-                                  "mode": self.config.mode,
                                   "shard_count": len(self.plan),
                                   "shards": current})
         elif planned.get("shards") != current:
@@ -434,10 +322,6 @@ class CampaignFabric:
                 f"{planned.get('shards')!r}, which differ from "
                 f"{current!r}; use a fresh fabric dir for a reconfigured "
                 f"campaign")
-        if "global_stop" in replayed:
-            self._stopped_globally = True
-            self._set_drain(replayed["global_stop"].get(
-                "reason", "global early-stop"))
 
     def _merge(self) -> FabricReport:
         """Merge every lease journal into ``merged_report.json``.
@@ -448,18 +332,14 @@ class CampaignFabric:
         conflict propagates; :func:`~repro.inject.merge.merge_fabric_dir`
         over the same ``fabric_dir`` raises it again.
         """
-        merged = merge_shard_journals(
-            fabric_journal_paths(self.fabric_dir), z=self.config.z,
-            stopped_globally=self._stopped_globally)
+        merged = merge_shard_journals(fabric_journal_paths(self.fabric_dir))
         merged_path = self._path(MERGED_REPORT)
         write_merged_report(merged, merged_path)
         paused = merged.report.paused or any(
             not self.table.completed(shard) for shard in self.plan)
         if not paused:
-            self._journal.append({
-                "type": "fabric_done",
-                "stopped_globally": self._stopped_globally,
-                "merged": MERGED_REPORT})
+            self._journal.append({"type": "fabric_done",
+                                  "merged": MERGED_REPORT})
         status = {}
         for shard in self.plan:
             lease = self.table.current(shard)
@@ -472,19 +352,19 @@ class CampaignFabric:
         return FabricReport(
             merged=merged, fabric_dir=self.fabric_dir,
             merged_report_path=merged_path, shard_status=status,
-            stopped_globally=self._stopped_globally, paused=paused,
-            estimate=merged.estimate)
+            paused=paused)
 
     # -- the coordinator loop ----------------------------------------------
 
     def _loop(self) -> None:
         while True:
-            if self._drain_requested is not None:
-                self._set_drain(self._drain_requested)
+            draining = self._drain_requested is not None
+            if draining:
+                self._set_drain()
             open_shards = self._open_shards()
             if not open_shards:
                 return
-            if self._drain_reason:
+            if draining:
                 if not self.processes:
                     return
             else:
@@ -494,7 +374,6 @@ class CampaignFabric:
                         self._grant(shard)
             self._await_exits()
             self._reap()
-            self._tick_estimator()
 
     def _grant(self, shard: str) -> None:
         """Lease ``shard`` under its next token and fork its holder.
@@ -503,23 +382,13 @@ class CampaignFabric:
         before the holder forks, so a coordinator that dies in between
         replays it as a lease to expire.
         """
-        previous = self.table.current(shard)
-        if previous is not None:
-            if not self.config.steal and \
-                    previous.reason not in _BENIGN_EXPIRY:
-                raise FabricError(
-                    f"shard {shard!r} lost lease token {previous.token} "
-                    f"({previous.reason or 'expired'}) and work stealing "
-                    f"is disabled (steal=False)",
-                    context={"shard": shard, "token": previous.token})
-            if self.table.token(shard) >= self.config.max_lease_attempts:
-                raise FabricError(
-                    f"shard {shard!r} exhausted its "
-                    f"{self.config.max_lease_attempts} lease attempts; "
-                    f"poison shard — inspect its lease journals under "
-                    f"{self.fabric_dir!r}",
-                    context={"shard": shard,
-                             "token": self.table.token(shard)})
+        if self.table.token(shard) >= self.config.max_lease_attempts:
+            raise FabricError(
+                f"shard {shard!r} exhausted its "
+                f"{self.config.max_lease_attempts} lease attempts; "
+                f"poison shard — inspect its lease journals under "
+                f"{self.fabric_dir!r}",
+                context={"shard": shard, "token": self.table.token(shard)})
         token = self.table.grant(shard).token
         holder = f"holder-{self._forked:03d}"
         self._forked += 1
@@ -531,7 +400,6 @@ class CampaignFabric:
         rebase_journal([lease_journal_path(self.fabric_dir, shard, prior)
                         for prior in range(1, token)],
                        journal_path, header=header)
-        self._watch(journal_path)
         control, write_end = os.pipe()
         self._control[holder] = write_end
         process = multiprocessing.get_context("fork").Process(
@@ -565,13 +433,10 @@ class CampaignFabric:
             if control is not None:
                 os.close(control)
             shard, token = self._holds.pop(holder)
-            if exitcode == 0 or (exitcode == PAUSED_EXIT
-                                 and self._stopped_globally):
-                # a shard the global early-stop drained is done
+            if exitcode == 0:
                 self.table.complete(shard, token)
-                self._journal.append({
-                    "type": "lease_completed", "shard": shard,
-                    "token": token, "paused": exitcode != 0})
+                self._journal.append({"type": "lease_completed",
+                                      "shard": shard, "token": token})
             elif exitcode == PAUSED_EXIT:
                 # an interruption: release the lease so a resume
                 # re-grants it
@@ -598,32 +463,14 @@ class CampaignFabric:
         self.processes.clear()
         self._holds.clear()
 
-    # -- global stop / drain -----------------------------------------------
+    # -- drain -------------------------------------------------------------
 
-    def _tick_estimator(self) -> None:
-        for cursor in self._cursors.values():
-            for record in cursor.poll():
-                self._estimator.absorb(record)
-        if not self._stopped_globally and self._estimator.tight:
-            estimate = self._estimator.estimate
-            reason = (f"global early-stop: detection rate {estimate} "
-                      f"after {estimate.trials} fleet-wide trials")
-            self._stopped_globally = True
-            self._journal.append({
-                "type": "global_stop", "reason": reason,
-                "estimate": {
-                    "rate": estimate.rate, "low": estimate.low,
-                    "high": estimate.high, "trials": estimate.trials,
-                    "successes": estimate.successes}})
-            self._set_drain(reason)
-
-    def _set_drain(self, reason: str) -> None:
+    def _set_drain(self) -> None:
         """Write the drain reason to every holder and close its pipe."""
-        if not self._drain_reason:
-            self._drain_reason = reason
+        reason = self._drain_requested.encode("utf-8")
         for control in self._control.values():
             try:
-                os.write(control, self._drain_reason.encode("utf-8"))
+                os.write(control, reason)
             except BrokenPipeError:
                 pass  # the holder already exited; the reaper sees it
             os.close(control)

@@ -36,12 +36,10 @@ deterministic batch seeds re-derive the lost records exactly).
 The journal is the single source of truth for resume; the engine never
 keeps checkpoint state anywhere else.
 
-The distributed fabric (:mod:`repro.inject.fabric`) layers two additions
-on the same format: the campaign header can carry *shard identity*
-fields (``shard``, ``token``, ``shard_count``) that a writer refuses to
-append across, and :class:`JournalCursor` tails a growing shard journal
-incrementally so the coordinator's global estimator never re-reads
-records it already verified.
+The distributed fabric (:mod:`repro.inject.fabric`) adds one thing to
+the same format: the campaign header can carry *shard identity* fields
+(``shard``, ``token``, ``shard_count``) that a writer refuses to append
+across.
 """
 
 from __future__ import annotations
@@ -453,55 +451,3 @@ def _round_trip(params: Dict[str, Any]) -> Dict[str, Any]:
     """Params exactly as they read back from JSON (tuples become lists)."""
     return json.loads(json.dumps(params))
 
-
-class JournalCursor:
-    """Incremental reader over a *growing* journal file (the merge cursor).
-
-    The fabric coordinator tails every lease journal into its global
-    Wilson estimator on each poll tick, and ``coordinator.jsonl`` can be
-    tailed the same way to follow a job; re-reading whole multi-MB
-    journals on each tick would be quadratic.  A cursor remembers its
-    byte offset and running record index, and each :meth:`poll`
-    verifies and returns only the records appended since the previous
-    poll:
-
-    * only lines terminated by a newline are consumed — a partial final
-      line is either an append in progress or a torn tail, and stays
-      pending until (unless) it completes;
-    * CRC32 and ``rix`` continuity are verified by the same check as
-      :meth:`JournalState.load`; the first bad record **fuses** the
-      cursor (``corrupt`` names the file, the failed check and the
-      record index), which permanently
-      stops consumption — the terminal salvage-aware merge, not the
-      online estimator, is the authority on damaged journals;
-    * a file that does not exist yet simply yields no records.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.records = 0
-        self.corrupt: Optional[str] = None
-        self._offset = 0
-
-    def poll(self) -> List[Dict[str, Any]]:
-        """Verify and return the complete records appended since last poll."""
-        if self.corrupt is not None or not os.path.exists(self.path):
-            return []
-        fresh: List[Dict[str, Any]] = []
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # partial line: in-flight append or torn tail
-                text = raw.decode("utf-8", errors="replace").strip()
-                self._offset += len(raw)
-                if not text:
-                    continue
-                record, problem = _verify_record(text, self.records)
-                if record is None:
-                    self.corrupt = (f"{self.path}: {problem} at record "
-                                    f"{self.records}")
-                    return fresh
-                self.records += 1
-                fresh.append(record)
-        return fresh

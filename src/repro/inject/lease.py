@@ -1,8 +1,8 @@
 """Work-unit leases with fencing tokens for the campaign fabric.
 
-A *shard* is a fixed, deterministic slice of a campaign (a list of work
-units with a deterministic seed range).  The coordinator never hands a
-shard to a holder directly — it grants a **lease**:
+A *shard* is a fixed, deterministic slice of a campaign (a list of its
+work units).  The coordinator never hands a shard to a holder
+directly — it grants a **lease**:
 
 * every grant increments the shard's **fencing token**, a monotonic
   per-shard counter that survives coordinator restarts (it is replayed
@@ -154,11 +154,16 @@ class LeaseTable:
         completions mark shards done.  A lease that was ACTIVE when the
         journal ends stays EXPIRED-on-load (reason ``coordinator
         restart``): the new coordinator re-grants it under a higher
-        token rather than trusting a holder it never forked.
+        token rather than trusting a holder it never forked.  A
+        completion journaled with ``paused: true`` (a shard drained by
+        the fleet-wide early stop older coordinators ran) replays as a
+        pause, so a resume finishes the shard.
         """
         kind = record.get("type")
         shard = record.get("shard")
         token = record.get("token")
+        if kind == "lease_completed" and record.get("paused"):
+            kind = "lease_paused"
         if kind == "lease_granted":
             lease = Lease(shard=shard, token=token, state=EXPIRED,
                           reason="coordinator restart")

@@ -69,17 +69,14 @@ class MergedCampaign:
     report: CampaignReport
     #: shard id -> provenance (never serialized into the artifact)
     sources: Dict[str, ShardSource]
-    #: True when the coordinator's global early-stop ended the campaign
-    stopped_globally: bool = False
-    z: float = 1.96
 
     @property
     def estimate(self):
-        """Global Wilson estimate over every shard's monitored trials."""
+        """Wilson estimate over every shard's monitored trials."""
         trials = sum(unit.trials for unit in self.report.units.values())
         successes = sum(unit.successes
                         for unit in self.report.units.values())
-        return wilson_interval(successes, trials, self.z)
+        return wilson_interval(successes, trials)
 
     def to_dict(self) -> Dict[str, Any]:
         """The canonical, replay-stable merged-report payload."""
@@ -97,7 +94,10 @@ class MergedCampaign:
             })
         return {
             "schema": MERGE_SCHEMA_VERSION,
-            "stopped_globally": self.stopped_globally,
+            # Nothing stops a sharded campaign fleet-wide, so this is
+            # always false; the key stays because the sharded-campaign
+            # digest hashes these bytes.
+            "stopped_globally": False,
             "units": units,
             "totals": {key: count
                        for key, count in self.report.total_counts().items()
@@ -141,15 +141,8 @@ def _batch_fingerprint(record: Dict[str, Any]) -> Tuple:
             tuple(sorted(counts.items())))
 
 
-def merge_shard_journals(paths: List[str], z: float = 1.96,
-                         stopped_globally: bool = False) -> MergedCampaign:
-    """Reduce ``paths`` (any order, duplicates welcome) into one report.
-
-    ``stopped_globally`` marks units the coordinator's global Wilson
-    early-stop drained mid-sweep as ``completed``/``stopped_early``
-    rather than ``paused`` — the drain was a verdict, not an
-    interruption.
-    """
+def merge_shard_journals(paths: List[str]) -> MergedCampaign:
+    """Reduce ``paths`` (any order, duplicates welcome) into one report."""
     states = [JournalState.load(path, salvage=True)
               for path in sorted(set(paths))]
     states.sort(key=_journal_sort_key)
@@ -200,19 +193,16 @@ def merge_shard_journals(paths: List[str], z: float = 1.96,
     for unit_id in unit_order:
         units[unit_id] = _merged_unit(
             unit_id, unit_started[unit_id],
-            unit_batches.get(unit_id, {}), unit_done.get(unit_id),
-            stopped_globally, z)
+            unit_batches.get(unit_id, {}), unit_done.get(unit_id))
     paused = any(report.status == "paused" for report in units.values())
     report = CampaignReport(units=units, journal_path=None, paused=paused,
                             salvage_events=salvage_events)
-    return MergedCampaign(report=report, sources=sources,
-                          stopped_globally=stopped_globally, z=z)
+    return MergedCampaign(report=report, sources=sources)
 
 
 def _merged_unit(unit_id: str, started: Dict[str, Any],
                  batches: Dict[int, Dict[str, Any]],
-                 done: Optional[Dict[str, Any]], stopped_globally: bool,
-                 z: float) -> UnitReport:
+                 done: Optional[Dict[str, Any]]) -> UnitReport:
     counts = _empty_counts()
     trials = 0
     successes = 0
@@ -239,16 +229,13 @@ def _merged_unit(unit_id: str, started: Dict[str, Any],
         successes = summary.get("successes", successes)
         batch_count = summary.get("batches", batch_count)
         stopped_early = summary.get("stopped_early", False)
-    elif stopped_globally:
-        status = "completed"
-        stopped_early = True
     else:
         status = "paused"
     return UnitReport(
         unit_id=unit_id, kind=started.get("kind", ""), status=status,
         counts=counts, trials=trials, successes=successes,
         batches=batch_count, retries=0, stopped_early=stopped_early,
-        resumed=False, estimate=wilson_interval(successes, trials, z),
+        resumed=False, estimate=wilson_interval(successes, trials),
         detail="", payloads=payloads,
         failures=done.get("failures", []) if done else [])
 
@@ -259,8 +246,6 @@ def fabric_journal_paths(fabric_dir: str) -> List[str]:
                                          "shard-*.lease-*.jsonl")))
 
 
-def merge_fabric_dir(fabric_dir: str, z: float = 1.96,
-                     stopped_globally: bool = False) -> MergedCampaign:
+def merge_fabric_dir(fabric_dir: str) -> MergedCampaign:
     """Merge every shard lease journal found under ``fabric_dir``."""
-    return merge_shard_journals(fabric_journal_paths(fabric_dir), z=z,
-                                stopped_globally=stopped_globally)
+    return merge_shard_journals(fabric_journal_paths(fabric_dir))

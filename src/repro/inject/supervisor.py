@@ -5,10 +5,10 @@ that the *harness* — not the device under test — dominates lost trials:
 runaway jobs, kill signals, crash-looping work, corrupted logs.  This
 module supplies the campaign-side defenses, wired into
 :class:`~repro.inject.engine.CampaignEngine` via its ``supervisor``
-argument and switched on by default in every study entry point
+argument and switched on by default in both study entry points
 (:func:`~repro.inject.campaign.run_full_campaign`,
-:func:`~repro.experiments.figures_inject.run_injection_study`,
-:func:`~repro.experiments.mbu_degradation.run_mbu_degradation_study`):
+:func:`~repro.experiments.figures_inject.run_injection_study`) and in
+every holder of a sharded campaign (:mod:`repro.inject.fabric`):
 
 **Resource-governed workers.**  :class:`ResourceBudget` caps each batch
 worker with ``resource.setrlimit`` — an address-space cap that turns

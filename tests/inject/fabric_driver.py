@@ -86,8 +86,7 @@ def main(argv=None):
         args.fabric_dir,
         toy_config(shards=args.shards, batch_size=args.batch_size,
                    max_batches=args.batches))
-    print(f"FABRIC_DONE paused={report.paused} "
-          f"stopped_globally={report.stopped_globally}")
+    print(f"FABRIC_DONE paused={report.paused}")
     return 0
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.ecc import (DetectOnlySwap, NaiveSecDedSwap, ParityCode,
                        ResidueCode, SecDedDpSwap, SecDpSwap, TedCode)
 from repro.errors import InjectionError
-from repro.inject import (detection_outcomes, record_is_detected,
+from repro.inject import (DETECTION_CLASSES, detection_coverage,
+                          detection_outcomes, record_is_detected,
                           run_unit_campaign, sdc_risk, sdc_risk_sweep,
                           split_into_registers)
 
@@ -136,3 +137,17 @@ class TestSdcRisk:
         # Patterns are 4-bit wide; treat as one register.
         risk = sdc_risk(result, DetectOnlySwap(ResidueCode(7, data_bits=32)))
         assert risk.mean == 0.0
+
+
+class TestDetectionCoverage:
+    def test_bins_are_fractions_of_visible_trials(self):
+        # due, trap, hang and crash fold into detected; not_hit and
+        # corrected_in_place are not bins of their own
+        counts = {"due": 3, "trap": 1, "hang": 1, "crash": 1, "masked": 2,
+                  "sdc": 2, "not_hit": 30, "corrected_in_place": 2}
+        assert detection_coverage(counts) == {
+            "detected": 0.6, "masked": 0.2, "sdc": 0.2}
+
+    def test_no_visible_trial_yields_zeros(self):
+        assert detection_coverage({"not_hit": 5}) == \
+            dict.fromkeys(DETECTION_CLASSES, 0.0)

@@ -6,8 +6,7 @@ import os
 import pytest
 
 from repro.errors import InjectionError
-from repro.inject.journal import (Journal, JournalCursor, JournalState,
-                                  NullJournal)
+from repro.inject.journal import Journal, JournalState, NullJournal
 
 
 def write_journal(path, *records):
@@ -384,10 +383,10 @@ _CORRUPTIONS = {
 }
 
 
-class TestJournalCursor:
+class TestSalvageStops:
     @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
-    def test_cursor_stops_where_salvage_load_stops(self, tmp_path,
-                                                   corruption):
+    def test_salvage_stops_at_the_first_bad_record(self, tmp_path,
+                                                  corruption):
         path = tmp_path / "journal.jsonl"
         _sample_journal(path, batches=6)
         lines = path.read_bytes().split(b"\n")[:-1]
@@ -396,17 +395,7 @@ class TestJournalCursor:
             del lines[bad]
         else:
             lines[bad] = _CORRUPTIONS[corruption](lines[bad])
-        cursor = JournalCursor(str(path))
-        # the file grows under the cursor: first the good prefix and a
-        # partial line, which must stay pending rather than be yielded
-        path.write_bytes(b"".join(line + b"\n" for line in lines[:bad])
-                         + lines[bad][:8])
-        polled = cursor.poll()
-        assert len(polled) == bad and cursor.corrupt is None
         path.write_bytes(b"".join(line + b"\n" for line in lines))
-        assert cursor.poll() == []
-        assert cursor.corrupt is not None
         state = JournalState.load(str(path), salvage=True)
-        assert state.salvaged_line == cursor.records + 1 == bad + 1
-        assert [record for record in polled
-                if record["type"] == "batch"] == state.batches["u"]
+        assert state.salvaged_line == bad + 1
+        assert [record["index"] for record in state.batches["u"]] == [0, 1]

@@ -93,6 +93,19 @@ class TestReplay:
         assert not lease.active and lease.reason == "paused"
         assert table.grant("shard-000").token == 2
 
+    def test_replayed_paused_completion_allows_regrant(self):
+        # coordinators that ran the fleet-wide early stop completed a
+        # drained lease with paused: true; it replays as a pause
+        table = LeaseTable()
+        table.apply_record({"type": "lease_granted", "shard": "shard-000",
+                            "token": 1})
+        table.apply_record({"type": "lease_completed",
+                            "shard": "shard-000", "token": 1,
+                            "paused": True})
+        assert not table.completed("shard-000")
+        assert table.current("shard-000").reason == "paused"
+        assert table.grant("shard-000").token == 2
+
 
 class TestRebase:
     def _journal(self, path, header, records):
