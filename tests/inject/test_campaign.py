@@ -1,10 +1,17 @@
 """Tests for the six-unit campaign front-end over the resilient engine."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import InjectionError
 from repro.inject import (EngineConfig, run_full_campaign,
                           run_unit_campaign, unit_inputs)
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 class TestUnitInputs:
@@ -61,6 +68,25 @@ class TestRunFullCampaign:
         assert list(sharded) == list(units)
         for name in units:
             assert sharded[name].to_dict() == single[name].to_dict()
+
+    def test_example_prints_the_same_tables_on_two_shards(self, tmp_path):
+        # the entry point users run: line 1 names the journal and the
+        # shard count, and every table after it matches one engine's
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+
+        def tables(*options):
+            return subprocess.run(
+                [sys.executable,
+                 os.path.join(REPO_ROOT, "examples", "injection_campaign.py"),
+                 "64", "8", *options], cwd=str(tmp_path), env=env,
+                capture_output=True, text=True, timeout=120,
+                check=True).stdout.splitlines()
+
+        plain = tables()
+        sharded = tables("--journal", "c.jsonl", "--shards", "2")
+        assert "shards=2" in sharded[0]
+        assert any(line.startswith("Figure 11") for line in plain)
+        assert sharded[1:] == plain[1:]
 
     def test_sharded_campaign_refuses_an_operand_trace(self, tmp_path):
         # shards journal and merge units by kind and params alone, so a
